@@ -17,8 +17,8 @@ from .graph import (Edge, Graph, SplitMix64, attach_super_root,
                     serialize, weak_components)
 from .oracle import brute_force, naive_edmonds
 from .queues import LazyHeapQueue, MatrixQueue, SilQueue
-from .recon import build_leaf_map, is_arborescence, reconstruct
-from .tarjan import SolveResult, TarjanSolver, tarjan_solve
+from .recon import SolveResult, build_leaf_map, is_arborescence, reconstruct
+from .tarjan import TarjanSolver, tarjan_solve
 
 __all__ = [
     "ActiveForest",

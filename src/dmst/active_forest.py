@@ -60,10 +60,8 @@ def _unlink(node: ForestNode) -> Optional[ForestNode]:
 
 
 class ActiveForest:
-    def __init__(self, cdsu: ContractionDSU, org: list[int], tgt: list[int],
-                 w: list[int]):
+    def __init__(self, cdsu: ContractionDSU, tgt: list[int], w: list[int]):
         self.cdsu = cdsu
-        self.org = org
         self.tgt = tgt
         self.w = w
         self.root_ring: dict[int, ForestNode] = {}

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import sys
 import time
 from pathlib import Path
@@ -122,36 +123,36 @@ def _fmt_ms(seconds: float) -> str:
 
 def _bench_rows(graph: Graph, path: str, algo: str, reps: int, timeout):
     budget = "" if timeout is None else _fmt_ms(timeout)
+    timed_out = [path, algo, graph.n, len(graph.edges), "",
+                 budget, budget, budget, budget, "timeout"]
     for _ in range(reps):
         if timeout is not None and timeout <= 0:
-            yield [path, algo, graph.n, len(graph.edges), "",
-                   budget, budget, budget, budget, "timeout"]
+            yield timed_out
             continue
         deadline = None if timeout is None else time.monotonic() + timeout
         t0 = time.perf_counter()
+        solver = _make_solver(algo, graph, deadline)
+        t1 = time.perf_counter()
+        weight, status = "", "ok"
         try:
-            solver = _make_solver(algo, graph, deadline)
-            t1 = time.perf_counter()
             result = solver.run()
-            t2 = time.perf_counter()
         except SolveTimeout:
-            yield [path, algo, graph.n, len(graph.edges), "",
-                   budget, budget, budget, budget, "timeout"]
-            continue
+            status = "timeout"
         except Infeasible:
-            t2 = time.perf_counter()
-            yield [path, algo, graph.n, len(graph.edges), "",
-                   _fmt_ms(t1 - t0), _fmt_ms(t2 - t1), _fmt_ms(0.0),
-                   _fmt_ms(0.0), "infeasible"]
-            continue
-        ids = reconstruct(result, build_leaf_map(result, graph), graph)
+            status = "infeasible"
+        t2 = time.perf_counter()
+        if status == "ok":
+            ids = reconstruct(result, build_leaf_map(result, graph), graph)
+            weight = result.total_weight
         t3 = time.perf_counter()
-        weight = result.total_weight
-        del solver, result, ids
+        # ggst's forest rings are cyclic garbage that only the collector
+        # frees; collected here, not inside a later rep's clock
+        solver = result = ids = None
+        gc.collect()
         t4 = time.perf_counter()
-        yield [path, algo, graph.n, len(graph.edges), weight,
-               _fmt_ms(t1 - t0), _fmt_ms(t2 - t1), _fmt_ms(t3 - t2),
-               _fmt_ms(t4 - t3), "ok"]
+        yield timed_out if status == "timeout" else [
+            path, algo, graph.n, len(graph.edges), weight, _fmt_ms(t1 - t0),
+            _fmt_ms(t2 - t1), _fmt_ms(t3 - t2), _fmt_ms(t4 - t3), status]
 
 
 def _cmd_bench(args, parser: _Parser) -> int:

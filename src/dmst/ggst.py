@@ -24,16 +24,13 @@ run short and leave a duplicate behind.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from .active_forest import ActiveForest
 from .dsu import ContractionDSU
-from .errors import Infeasible, SolveTimeout
+from .errors import Infeasible
 from .graph import Graph
-from .tarjan import SolveResult
-
-_TICK_MASK = 511
+from .recon import PickLog, SolveResult
 
 
 class GgstSolver:
@@ -50,7 +47,7 @@ class GgstSolver:
         self.tgt = [e.target for e in graph.edges]
         self.w = [e.weight for e in graph.edges]
         self.cdsu = ContractionDSU(n)
-        self.af = ActiveForest(self.cdsu, self.org, self.tgt, self.w)
+        self.af = ActiveForest(self.cdsu, self.tgt, self.w)
         self.in_adj: list[list[int]] = [[] for _ in range(n)]
         for e in graph.edges:
             if e.target != graph.root and e.origin != e.target:
@@ -105,32 +102,20 @@ class GgstSolver:
         org, tgt, w = self.org, self.tgt, self.w
         exit_, passive = self.exit_, self.passive
         in_exit, del_round = self.in_exit, self.del_round
-        deadline = self.deadline
         debug = self.debug
+        log = PickLog(graph, self.deadline, debug)
 
-        picked: list[int] = []
-        pick_costs: list[int] = []
-        forest_parent: list[int] = []
-        pick_for = [-1] * n
-        pending_children: dict[int, list[int]] = {}
         covered = bytearray(n)
-        covered[root] = 1
+        if n:  # the empty instance has no root vertex
+            covered[root] = 1
         pos = [-1] * n
         pos_counter = 0
         path: list[int] = []
         path_index: dict[int, int] = {}
         next_start = 0
-        contractions = 0
-        cycle_len_sum = 0
         round_no = 0
-        total = 0
-        ticks = 0
 
         while True:
-            ticks += 1
-            if not ticks & _TICK_MASK and deadline is not None \
-                    and time.monotonic() > deadline:
-                raise SolveTimeout
             if not path:
                 while next_start < n and covered[cdsu.find(next_start)]:
                     next_start += 1
@@ -150,14 +135,7 @@ class GgstSolver:
             if res is None:
                 raise Infeasible
             _owner, eid, cost = res
-            idx = len(picked)
-            picked.append(eid)
-            pick_costs.append(cost)
-            forest_parent.append(-1)
-            total += cost
-            for p in pending_children.pop(head, ()):
-                forest_parent[p] = idx
-            pick_for[head] = idx
+            log.pick(head, eid, cost)
             u = cdsu.find(org[eid])
 
             if u in path_index:
@@ -166,13 +144,9 @@ class GgstSolver:
                 j = path_index[u]
                 members = path[j:]
                 del path[j:]
-                contractions += 1
-                cycle_len_sum += len(members)
                 for r in members:
                     del path_index[r]
-                    pc = pick_costs[pick_for[r]]
-                    if pc:
-                        cdsu.add_offset(r, -pc)
+                log.shift(members, cdsu)
                 for r in members:
                     el = exit_[r]
                     for e2 in el:
@@ -180,10 +154,6 @@ class GgstSolver:
                     exit_[r] = []
                     if r in af.active:
                         af.delete(r)
-                if debug:
-                    for r in members:
-                        e = graph.edges[picked[pick_for[r]]]
-                        assert cdsu.current_cost(e) == 0, "cycle edge cost not zeroed"
                 mem_set = set(members)
                 for r in members:
                     bucket = passive[r]
@@ -221,7 +191,7 @@ class GgstSolver:
                     a = merged
                     merged = cdsu.join(a, r)
                     af.merge_front(a, r)
-                pending_children[merged] = [pick_for[r] for r in members]
+                log.contract(members, merged)
                 path.append(merged)
                 path_index[merged] = len(path) - 1
                 pos[merged] = pos_counter
@@ -243,18 +213,8 @@ class GgstSolver:
                 path = []
                 path_index.clear()
 
-        counters = {
-            "picks": len(picked),
-            "contractions": contractions,
-            "summed_cycle_length": cycle_len_sum,
-            "af_queries": af.queries,
-            "af_deletes": af.deletes,
-            "af_merges": af.merges,
-            "dsu_visits": cdsu.visits,
-        }
-        if len(picked) > 2 * n:
-            raise AssertionError("picked more than 2n edges")
-        return SolveResult(total, picked, forest_parent, counters)
+        return log.result({"af_queries": af.queries, "af_deletes": af.deletes,
+                           "af_merges": af.merges, "dsu_visits": cdsu.visits})
 
     def _debug_check(self, pos: list[int]) -> None:
         cdsu = self.cdsu

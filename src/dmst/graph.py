@@ -69,12 +69,10 @@ def parse_edge_list(text: str) -> Graph:
     w_limit = W_LIMIT_BIG_N if n > N_SOFT_LIMIT else W_LIMIT
 
     edges = []
-    lineno = 1
-    for raw in lines[1:]:
-        if not raw.strip():
-            continue
-        lineno += 1
+    for lineno, raw in enumerate(lines[1:], 2):
         parts = raw.split()
+        if not parts:
+            continue
         if len(parts) != 3:
             raise ParseError(f"edge line must be 'u v w', line {lineno}")
         u = _parse_int(parts[0], lineno)
@@ -86,7 +84,7 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"weight out of bound, line {lineno}")
         edges.append(Edge(u, v, w, len(edges)))
     if len(edges) != m:
-        raise ParseError(f"expected {m} edges, found {len(edges)}, line {lineno + 1}")
+        raise ParseError(f"expected {m} edges, found {len(edges)}, line {len(lines) + 1}")
     return Graph(n, root, tuple(edges))
 
 

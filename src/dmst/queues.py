@@ -1,7 +1,9 @@
 """Incoming-edge-set strategies for the contraction solver.
 
 Each queue owns the incoming edges of one super-vertex and supports four
-operations: insert, extract_min, add_constant, merge. Ties on equal cost
+operations: insert, extract_min, add_constant, merge. A queue counts the
+work of the queues merged into it too; each class's ``counters`` sums those
+counts over a set of queues. Ties on equal cost
 break toward the smaller edge id in every strategy so that all solvers
 produce the same deterministic traces.
 
@@ -37,6 +39,10 @@ class MatrixQueue:
         self.occupied: list[int] = []
         self.count = 0
         self.cells_scanned = 0
+
+    @staticmethod
+    def counters(queues) -> dict:
+        return {"cells_scanned": sum(q.cells_scanned for q in queues)}
 
     def _slot(self, eid: int) -> int:
         o = self.org[eid]
@@ -175,16 +181,18 @@ def _meld(x: Optional[_HeapNode], y: Optional[_HeapNode]) -> Optional[_HeapNode]
 class LazyHeapQueue:
     """Skew heap over (cost, edge id) with subtree-wide lazy deltas."""
 
-    __slots__ = ("root", "count", "melds")
+    __slots__ = ("root", "melds")
 
     def __init__(self):
         self.root: Optional[_HeapNode] = None
-        self.count = 0
         self.melds = 0
+
+    @staticmethod
+    def counters(queues) -> dict:
+        return {"melds": sum(q.melds for q in queues)}
 
     def insert(self, eid: int, cost: int) -> None:
         self.root = _meld(self.root, _HeapNode(cost, eid))
-        self.count += 1
 
     def extract_min(self):
         node = self.root
@@ -192,7 +200,6 @@ class LazyHeapQueue:
             return None
         _flush(node)
         self.root = _meld(node.left, node.right)
-        self.count -= 1
         return node.eid, node.cost
 
     def add_constant(self, delta: int) -> None:
@@ -203,10 +210,8 @@ class LazyHeapQueue:
 
     def merge(self, other: "LazyHeapQueue") -> "LazyHeapQueue":
         self.root = _meld(self.root, other.root)
-        self.count += other.count
         self.melds += other.melds + 1
         other.root = None
-        other.count = 0
         return self
 
 
@@ -228,6 +233,11 @@ class SilQueue:
         self.offset = 0
         self.moves = 0
         self.list_merge_scan = 0
+
+    @staticmethod
+    def counters(queues) -> dict:
+        return {"queue_moves": sum(q.moves for q in queues),
+                "list_merge_scan": sum(q.list_merge_scan for q in queues)}
 
     def insert(self, eid: int, cost: int) -> None:
         heapq.heappush(self.heap, (cost - self.offset, eid))

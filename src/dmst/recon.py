@@ -1,4 +1,4 @@
-"""Arborescence reconstruction from the picked-edge log.
+"""The picked-edge log both solvers write, and reconstruction from it.
 
 The picks accepted by a solver form a forest: a pick becomes the child of
 the later pick that absorbed its target super-vertex during a contraction.
@@ -9,8 +9,104 @@ picks it supersedes, from the leaf of its original target upward.
 
 from __future__ import annotations
 
+import time
+from dataclasses import dataclass, field
+from typing import Optional
+
+from .dsu import ContractionDSU
+from .errors import SolveTimeout
 from .graph import Graph
-from .tarjan import SolveResult
+
+_TICK_MASK = 511  # deadline polled every 512 picks, and every 512 other steps
+
+
+@dataclass
+class SolveResult:
+    total_weight: int
+    picked: list[int]
+    # for each picked index, the index of the pick that later absorbed it
+    # into a contracted cycle, or -1 for picks never contracted over
+    forest_parent: list[int]
+    counters: dict = field(default_factory=dict)
+
+
+class PickLog:
+    """One solve's picks, contractions and deadline. When picks close a
+    cycle, a solver calls ``shift``, joins the members, then ``contract``."""
+
+    def __init__(self, graph: Graph, deadline: Optional[float], debug: bool):
+        self.graph = graph
+        self.deadline = deadline
+        self.debug = debug
+        self.picked: list[int] = []
+        self.costs: list[int] = []
+        self.forest_parent: list[int] = []
+        self.pick_for = [-1] * graph.n  # per representative: its pick's index
+        self.pending: dict[int, list[int]] = {}
+        self.contractions = 0
+        self.cycle_len_sum = 0
+        self.ticks = 0
+
+    def _poll(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise SolveTimeout
+
+    def tick(self) -> None:
+        """Count one loop step that picks nothing; polls the deadline."""
+        self.ticks += 1
+        if not self.ticks & _TICK_MASK:
+            self._poll()
+
+    def pick(self, head: int, eid: int, cost: int) -> None:
+        """Accept edge eid, at current cost ``cost``, into super-vertex head."""
+        picked, fp = self.picked, self.forest_parent
+        idx = len(picked)
+        if not idx & _TICK_MASK:
+            self._poll()
+        picked.append(eid)
+        self.costs.append(cost)
+        fp.append(-1)
+        for p in self.pending.pop(head, ()):
+            fp[p] = idx
+        self.pick_for[head] = idx
+
+    def edge_of(self, rep: int) -> int:
+        return self.picked[self.pick_for[rep]]
+
+    def shift(self, members: list[int], cdsu: ContractionDSU) -> list[int]:
+        """Shift each cycle member's incoming costs down by its pick's cost,
+        so every cycle edge costs 0; returns those costs."""
+        costs, pick_for = self.costs, self.pick_for
+        shifts = []
+        for rep in members:
+            pc = costs[pick_for[rep]]
+            if pc:
+                cdsu.add_offset(rep, -pc)
+            shifts.append(pc)
+        if self.debug:
+            edges = self.graph.edges
+            for rep in members:
+                assert cdsu.current_cost(edges[self.edge_of(rep)]) == 0, \
+                    "cycle edge cost not zeroed"
+        return shifts
+
+    def contract(self, members: list[int], merged: int) -> None:
+        """The shifted cycle is now joined into ``merged``; the members'
+        picks become children of merged's next pick."""
+        self.contractions += 1
+        self.cycle_len_sum += len(members)
+        self.pending[merged] = [self.pick_for[rep] for rep in members]
+
+    def result(self, counters: dict) -> SolveResult:
+        """The finished log, with the solver's own ``counters`` added."""
+        if len(self.picked) > 2 * self.graph.n:
+            raise AssertionError("picked more than 2n edges")
+        return SolveResult(sum(self.costs), self.picked, self.forest_parent, {
+            "picks": len(self.picked),
+            "contractions": self.contractions,
+            "summed_cycle_length": self.cycle_len_sum,
+            **counters,
+        })
 
 
 def build_leaf_map(result: SolveResult, graph: Graph) -> dict[int, int]:

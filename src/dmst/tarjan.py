@@ -11,28 +11,15 @@ superset of the answer; reconstruction extracts the arborescence from them.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .dsu import ContractionDSU, PlainDSU
-from .errors import Infeasible, SolveTimeout
+from .errors import Infeasible
 from .graph import Graph
 from .queues import LazyHeapQueue, MatrixQueue, SilQueue
+from .recon import PickLog, SolveResult
 
 STRATEGIES = ("matrix", "heap", "sil")
-
-_TICK_MASK = 511  # deadline polled every 512 loop steps
-
-
-@dataclass
-class SolveResult:
-    total_weight: int
-    picked: list[int]
-    # for each picked index, the index of the pick that later absorbed it
-    # into a contracted cycle, or -1 for picks never contracted over
-    forest_parent: list[int]
-    counters: dict = field(default_factory=dict)
 
 
 class TarjanSolver:
@@ -49,8 +36,6 @@ class TarjanSolver:
         self.debug = debug
         n = graph.n
         self.org = [e.origin for e in graph.edges]
-        self.tgt = [e.target for e in graph.edges]
-        self.w = [e.weight for e in graph.edges]
         self.cdsu = ContractionDSU(n)
         self.wdsu = PlainDSU(n)
         self.queue_of: list = [None] * n
@@ -78,25 +63,10 @@ class TarjanSolver:
         cdsu, wdsu = self.cdsu, self.wdsu
         org = self.org
         queue_of = self.queue_of
-        deadline = self.deadline
-        debug = self.debug
-
-        picked: list[int] = []
-        pick_costs: list[int] = []
-        forest_parent: list[int] = []
-        pick_for = [-1] * n  # per representative: index of its accepted pick
-        pending_children: dict[int, list[int]] = {}
-        contractions = 0
-        cycle_len_sum = 0
-        total = 0
-        ticks = 0
+        log = PickLog(graph, self.deadline, self.debug)
 
         stack = [v for v in range(n) if v != root]
         while stack:
-            ticks += 1
-            if not ticks & _TICK_MASK and deadline is not None \
-                    and time.monotonic() > deadline:
-                raise SolveTimeout
             v = stack.pop()
             q = queue_of[v]
             while True:
@@ -107,18 +77,8 @@ class TarjanSolver:
                 u = cdsu.find(org[eid])
                 if u != v:
                     break
-                ticks += 1
-                if not ticks & _TICK_MASK and deadline is not None \
-                        and time.monotonic() > deadline:
-                    raise SolveTimeout
-            idx = len(picked)
-            picked.append(eid)
-            pick_costs.append(cost)
-            forest_parent.append(-1)
-            total += cost
-            for p in pending_children.pop(v, ()):
-                forest_parent[p] = idx
-            pick_for[v] = idx
+                log.tick()
+            log.pick(v, eid, cost)
             if wdsu.find(u) != wdsu.find(v):
                 wdsu.join(u, v)
                 continue
@@ -127,52 +87,24 @@ class TarjanSolver:
             cur = u
             while cur != v:
                 members.append(cur)
-                cur = cdsu.find(org[picked[pick_for[cur]]])
-            contractions += 1
-            cycle_len_sum += len(members)
-            for rep in members:
-                pc = pick_costs[pick_for[rep]]
+                cur = cdsu.find(org[log.edge_of(cur)])
+            for rep, pc in zip(members, log.shift(members, cdsu)):
                 if pc:
-                    cdsu.add_offset(rep, -pc)
                     queue_of[rep].add_constant(-pc)
-            if debug:
-                for rep in members:
-                    e = graph.edges[picked[pick_for[rep]]]
-                    assert cdsu.current_cost(e) == 0, "cycle edge cost not zeroed"
             merged_rep = members[0]
             merged_q = queue_of[members[0]]
             for rep in members[1:]:
                 merged_rep = cdsu.join(merged_rep, rep)
                 merged_q = merged_q.merge(queue_of[rep])
             queue_of[merged_rep] = merged_q
-            pending_children[merged_rep] = [pick_for[rep] for rep in members]
+            log.contract(members, merged_rep)
             stack.append(merged_rep)
 
-        counters = {
-            "picks": len(picked),
-            "contractions": contractions,
-            "summed_cycle_length": cycle_len_sum,
-            "dsu_visits": cdsu.visits + wdsu.visits,
-        }
         parent = cdsu.parent
-        for v in range(n):
-            if v == root or parent[v] != v:
-                continue
-            q = queue_of[v]
-            if q is None:
-                continue
-            if self.strategy == "sil":
-                counters["queue_moves"] = counters.get("queue_moves", 0) + q.moves
-                counters["list_merge_scan"] = \
-                    counters.get("list_merge_scan", 0) + q.list_merge_scan
-            elif self.strategy == "heap":
-                counters["melds"] = counters.get("melds", 0) + q.melds
-            else:
-                counters["cells_scanned"] = \
-                    counters.get("cells_scanned", 0) + q.cells_scanned
-        if len(picked) > 2 * n:
-            raise AssertionError("picked more than 2n edges")
-        return SolveResult(total, picked, forest_parent, counters)
+        live = [queue_of[v] for v in range(n) if v != root and parent[v] == v]
+        counters = type(live[0]).counters(live) if live else {}
+        counters["dsu_visits"] = cdsu.visits + wdsu.visits
+        return log.result(counters)
 
 
 def tarjan_solve(graph: Graph, strategy: str = "sil", *,

@@ -19,7 +19,7 @@ class Rig:
         self.org: list[int] = []
         self.tgt: list[int] = []
         self.w: list[int] = []
-        self.af = ActiveForest(self.cdsu, self.org, self.tgt, self.w)
+        self.af = ActiveForest(self.cdsu, self.tgt, self.w)
         self.path: list[int] = []
         self.pos: dict[int, int] = {}
         self.next_vertex = 0

@@ -1,11 +1,12 @@
 import csv
+import gc
 import subprocess
 import sys
 
 import pytest
 
 from conftest import G_BAD_TEXT, G_TRI_TEXT
-from dmst import cli, gen_antilemon, parse_edge_list, serialize
+from dmst import Graph, cli, gen_antilemon, parse_edge_list, serialize
 
 
 def run_cli(argv):
@@ -28,6 +29,19 @@ def test_solve_tri_all_algos(tmp_path, capsys):
         assert captured.out.splitlines()[0] == "6"
         ids = [int(x) for x in out.read_text().split()]
         assert ids == [0, 2]
+
+
+def test_solve_empty_instance_all_algos(tmp_path, capsys):
+    inp = tmp_path / "empty.txt"
+    inp.write_text("0 0 0\n")
+    for algo in ("ggst", "tarjan-matrix", "tarjan-heap", "tarjan-sil"):
+        out = tmp_path / f"{algo}.ids"
+        code = run_cli(["solve", "--algo", algo, "--in", str(inp),
+                        "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0, algo
+        assert captured.out.splitlines() == ["0"]
+        assert out.read_text() == ""
 
 
 def test_solve_infeasible(tmp_path, capsys):
@@ -156,6 +170,17 @@ def test_bench_weights_agree_across_algos(tmp_path, capsys):
     assert len(rows) == 8
     for weights in by_instance.values():
         assert len(weights) == 1
+
+
+def test_bench_teardown_collects_ggst_garbage():
+    graph = gen_antilemon(50)
+    # an extra vertex that nothing enters: infeasible once the forest is grown
+    unreachable = Graph(graph.n + 1, graph.root, graph.edges)
+    for g, status in ((graph, "ok"), (unreachable, "infeasible")):
+        gc.collect()
+        rows = list(cli._bench_rows(g, "anti.txt", "ggst", 1, None))
+        assert rows[0][9] == status
+        assert gc.collect() == 0, status
 
 
 def test_bench_timeout_zero(tmp_path, capsys):

@@ -30,6 +30,7 @@ def test_parse_skips_blank_lines():
     ("2 1 0\n0 1\n", "edge line must be 'u v w', line 2"),
     ("2 1 0\n0 x 1\n", "not an integer 'x', line 2"),
     ("2 1 0\n0 2 1\n", "index out of range, line 2"),
+    ("2 1 0\n\n0 5 1\n", "index out of range, line 3"),
     ("2 2 0\n0 1 1\n", "expected 2 edges, found 1, line 3"),
     ("2 0 0\n0 1 1\n", "expected 0 edges, found 1, line 3"),
 ])

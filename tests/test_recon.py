@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 
 from conftest import SOLVERS, random_instance
-from dmst import (Infeasible, brute_force, build_leaf_map, ggst_solve,
-                  is_arborescence, reconstruct, tarjan_solve)
+from dmst import (Infeasible, SolveTimeout, brute_force, build_leaf_map,
+                  gen_antilemon, ggst_solve, is_arborescence, reconstruct,
+                  tarjan_solve)
 from dmst.tarjan import SolveResult
 
 
@@ -45,6 +47,13 @@ def test_cyc_emits_a_valid_optimum(g_cyc):
         ids = reconstruct(r, build_leaf_map(r, g_cyc), g_cyc, debug=True)
         assert is_arborescence(g_cyc, ids), name
         assert sum(g_cyc.edges[e].weight for e in ids) == 11
+
+
+@pytest.mark.parametrize("config", sorted(SOLVERS))
+def test_past_deadline_raises_timeout(config):
+    # antilemon k=400 takes about 800 picks, past the 512-step poll
+    with pytest.raises(SolveTimeout):
+        SOLVERS[config](gen_antilemon(400), deadline=time.monotonic() - 1)
 
 
 def test_missing_target_is_reported(g_tri):

@@ -107,12 +107,12 @@ def test_weight_shift_covariance():
 def test_counters_expose_strategy_specific_work():
     from dmst import gen_er_rooted
     g = gen_er_rooted(8, 16, 20, 17)
-    r_sil = tarjan_solve(g, "sil")
-    r_heap = tarjan_solve(g, "heap")
-    r_matrix = tarjan_solve(g, "matrix")
-    assert "queue_moves" in r_sil.counters
-    assert "list_merge_scan" in r_sil.counters
-    assert "melds" in r_heap.counters
-    assert "cells_scanned" in r_matrix.counters
-    for r in (r_sil, r_heap, r_matrix):
+    common = {"picks", "contractions", "summed_cycle_length", "dsu_visits"}
+    own = {"tarjan-sil": {"queue_moves", "list_merge_scan"},
+           "tarjan-heap": {"melds"},
+           "tarjan-matrix": {"cells_scanned"},
+           "ggst": {"af_queries", "af_deletes", "af_merges"}}
+    for config, solve in SOLVERS.items():
+        r = solve(g)
+        assert set(r.counters) == common | own[config], config
         assert r.counters["dsu_visits"] > 0
