@@ -123,7 +123,7 @@ def _fmt_ms(seconds: float) -> str:
 
 def _bench_rows(graph: Graph, path: str, algo: str, reps: int, timeout):
     budget = "" if timeout is None else _fmt_ms(timeout)
-    timed_out = [path, algo, graph.n, len(graph.edges), "",
+    timed_out = [path, algo, graph.n, len(graph.w), "",
                  budget, budget, budget, budget, "timeout"]
     for _ in range(reps):
         if timeout is not None and timeout <= 0:
@@ -151,7 +151,7 @@ def _bench_rows(graph: Graph, path: str, algo: str, reps: int, timeout):
         gc.collect()
         t4 = time.perf_counter()
         yield timed_out if status == "timeout" else [
-            path, algo, graph.n, len(graph.edges), weight, _fmt_ms(t1 - t0),
+            path, algo, graph.n, len(graph.w), weight, _fmt_ms(t1 - t0),
             _fmt_ms(t2 - t1), _fmt_ms(t3 - t2), _fmt_ms(t4 - t3), status]
 
 

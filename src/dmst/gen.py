@@ -3,7 +3,7 @@ Erdos-Renyi-style random instances."""
 
 from __future__ import annotations
 
-from .graph import Edge, Graph, SplitMix64
+from .graph import Graph, SplitMix64
 
 
 def gen_antilemon(k: int) -> Graph:
@@ -18,13 +18,10 @@ def gen_antilemon(k: int) -> Graph:
     """
     if k < 3:
         raise ValueError("k must be at least 3")
-    edges = []
-    for i in range(k - 1):
-        edges.append(Edge(i, i + 1, 0, len(edges)))
-    for i in range(1, k):
-        edges.append(Edge(i, 0, i, len(edges)))
-    edges.append(Edge(k, 0, k, len(edges)))
-    return Graph(k + 1, k, tuple(edges))
+    return Graph(k + 1, k,
+                 [*range(k - 1), *range(1, k), k],
+                 [*range(1, k), *[0] * k],
+                 [*[0] * (k - 1), *range(1, k), k])
 
 
 def gen_er_rooted(n: int, m: int, max_w: int, seed: int) -> Graph:
@@ -44,11 +41,9 @@ def gen_er_rooted(n: int, m: int, max_w: int, seed: int) -> Graph:
         j = rng.below(i + 1)
         ranked[i], ranked[j] = ranked[j], ranked[i]
     order = [0] + ranked
-    ends = []
-    for j in range(1, n):
-        ends.append((order[rng.below(j)], order[j]))
+    org = [order[rng.below(j)] for j in range(1, n)]
+    tgt = ranked
     for _ in range(m - (n - 1)):
-        ends.append((rng.below(n), rng.below(n)))
-    edges = tuple(Edge(u, v, 1 + rng.below(max_w), i)
-                  for i, (u, v) in enumerate(ends))
-    return Graph(n, 0, edges)
+        org.append(rng.below(n))
+        tgt.append(rng.below(n))
+    return Graph(n, 0, org, tgt, [1 + rng.below(max_w) for _ in range(m)])

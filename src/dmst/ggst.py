@@ -42,17 +42,14 @@ class GgstSolver:
         self.graph = graph
         self.deadline = deadline
         self.debug = debug
-        n = graph.n
-        self.org = [e.origin for e in graph.edges]
-        self.tgt = [e.target for e in graph.edges]
-        self.w = [e.weight for e in graph.edges]
+        n, root = graph.n, graph.root
         self.cdsu = ContractionDSU(n)
-        self.af = ActiveForest(self.cdsu, self.tgt, self.w)
+        self.af = ActiveForest(self.cdsu, graph.tgt, graph.w)
         self.in_adj: list[list[int]] = [[] for _ in range(n)]
-        for e in graph.edges:
-            if e.target != graph.root and e.origin != e.target:
-                self.in_adj[e.target].append(e.id)
-        m = len(graph.edges)
+        for eid, (u, v) in enumerate(zip(graph.org, graph.tgt)):
+            if v != root and u != v:
+                self.in_adj[v].append(eid)
+        m = len(graph.w)
         self.exit_: list[list[int]] = [[] for _ in range(n)]
         self.passive: list[list[int]] = [[] for _ in range(n)]
         self.in_exit = bytearray(m)
@@ -64,7 +61,7 @@ class GgstSolver:
         parallel edge keeps only the cheaper; a front pointing at an older
         path vertex is demoted to that target's passive list."""
         cdsu = self.cdsu
-        org, tgt, w = self.org, self.tgt, self.w
+        org, tgt, w = self.graph.org, self.graph.tgt, self.graph.w
         exit_ = self.exit_
         in_exit = self.in_exit
         af = self.af
@@ -99,7 +96,7 @@ class GgstSolver:
         n, root = graph.n, graph.root
         cdsu = self.cdsu
         af = self.af
-        org, tgt, w = self.org, self.tgt, self.w
+        org, tgt, w = graph.org, graph.tgt, graph.w
         exit_, passive = self.exit_, self.passive
         in_exit, del_round = self.in_exit, self.del_round
         debug = self.debug
@@ -218,7 +215,7 @@ class GgstSolver:
 
     def _debug_check(self, pos: list[int]) -> None:
         cdsu = self.cdsu
-        tgt = self.tgt
+        tgt = self.graph.tgt
         in_exit = self.in_exit
         for b in range(self.graph.n):
             targets = set()

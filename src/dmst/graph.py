@@ -8,6 +8,7 @@ solvers cope with both.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError
@@ -31,15 +32,25 @@ class Edge(NamedTuple):
 class Graph:
     """Immutable directed multigraph with a designated root.
 
-    ``edges[i].id == i`` always holds; ids are dense in input order.
-    ``orig_ids`` is only set by :func:`attach_super_root` and maps the
-    renumbered vertices back to the input vertex indices.
+    Edge ``i`` runs from ``org[i]`` to ``tgt[i]`` with weight ``w[i]``; ids
+    are dense in input order. The three columns are the graph: solvers
+    read them directly and nothing mutates them, so derive a changed graph
+    with ``dataclasses.replace``. ``orig_ids`` is only set by
+    :func:`attach_super_root` and maps the renumbered vertices back to the
+    input vertex indices.
     """
 
     n: int
     root: int
-    edges: tuple[Edge, ...]
+    org: list[int]
+    tgt: list[int]
+    w: list[int]
     orig_ids: tuple[int, ...] | None = None
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """``Edge`` tuples with ``edges[i].id == i``; built once, on first use."""
+        return tuple(map(Edge, self.org, self.tgt, self.w, range(len(self.w))))
 
 
 def _parse_int(tok: str, lineno: int) -> int:
@@ -56,20 +67,22 @@ def parse_edge_list(text: str) -> Graph:
     out-of-range indices, and out-of-bound weights.
     """
     lines = text.splitlines()
-    if not lines or not lines[0].split():
+    # the header is the first non-blank line; hno is its physical number
+    hno = next((i for i, raw in enumerate(lines, 1) if raw.split()), 0)
+    if not hno:
         raise ParseError("missing header, line 1")
-    head = lines[0].split()
+    head = lines[hno - 1].split()
     if len(head) != 3:
-        raise ParseError("header must be 'n m r', line 1")
-    n, m, root = (_parse_int(t, 1) for t in head)
+        raise ParseError(f"header must be 'n m r', line {hno}")
+    n, m, root = (_parse_int(t, hno) for t in head)
     if n < 0 or m < 0:
-        raise ParseError("negative count in header, line 1")
+        raise ParseError(f"negative count in header, line {hno}")
     if not (n == 0 or 0 <= root < n):
-        raise ParseError("root out of range, line 1")
+        raise ParseError(f"root out of range, line {hno}")
     w_limit = W_LIMIT_BIG_N if n > N_SOFT_LIMIT else W_LIMIT
 
-    edges = []
-    for lineno, raw in enumerate(lines[1:], 2):
+    org, tgt, ws = [], [], []
+    for lineno, raw in enumerate(lines[hno:], hno + 1):
         parts = raw.split()
         if not parts:
             continue
@@ -82,15 +95,17 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"index out of range, line {lineno}")
         if abs(w) > w_limit:
             raise ParseError(f"weight out of bound, line {lineno}")
-        edges.append(Edge(u, v, w, len(edges)))
-    if len(edges) != m:
-        raise ParseError(f"expected {m} edges, found {len(edges)}, line {len(lines) + 1}")
-    return Graph(n, root, tuple(edges))
+        org.append(u)
+        tgt.append(v)
+        ws.append(w)
+    if len(ws) != m:
+        raise ParseError(f"expected {m} edges, found {len(ws)}, line {len(lines) + 1}")
+    return Graph(n, root, org, tgt, ws)
 
 
 def serialize(graph: Graph) -> str:
-    out = [f"{graph.n} {len(graph.edges)} {graph.root}"]
-    out.extend(f"{e.origin} {e.target} {e.weight}" for e in graph.edges)
+    out = [f"{graph.n} {len(graph.w)} {graph.root}"]
+    out.extend(f"{u} {v} {w}" for u, v, w in zip(graph.org, graph.tgt, graph.w))
     return "\n".join(out) + "\n"
 
 
@@ -103,11 +118,8 @@ def parse_plain_edge_list(text: str) -> Graph:
     root defaults to vertex 0 and is a placeholder until
     :func:`attach_super_root` designates a real one.
     """
-    pairs = []
-    labels = set()
-    lineno = 0
-    for raw in text.splitlines():
-        lineno += 1
+    us, vs = [], []
+    for lineno, raw in enumerate(text.splitlines(), 1):
         s = raw.strip()
         if not s or s[0] in "%#":
             continue
@@ -118,12 +130,11 @@ def parse_plain_edge_list(text: str) -> Graph:
         v = _parse_int(parts[1], lineno)
         if u < 0 or v < 0:
             raise ParseError(f"index out of range, line {lineno}")
-        pairs.append((u, v))
-        labels.add(u)
-        labels.add(v)
-    dense = {lab: i for i, lab in enumerate(sorted(labels))}
-    edges = tuple(Edge(dense[u], dense[v], 0, i) for i, (u, v) in enumerate(pairs))
-    return Graph(len(dense), 0, edges)
+        us.append(u)
+        vs.append(v)
+    dense = {lab: i for i, lab in enumerate(sorted({*us, *vs}))}
+    return Graph(len(dense), 0, [dense[u] for u in us], [dense[v] for v in vs],
+                 [0] * len(us))
 
 
 class SplitMix64:
@@ -162,20 +173,18 @@ def sample_weights(graph: Graph, seed: int, max_w: int) -> Graph:
     if max_w < 1:
         raise ValueError("max_w must be at least 1")
     rng = SplitMix64(seed)
-    edges = tuple(
-        Edge(e.origin, e.target, 1 + rng.below(max_w), e.id) for e in graph.edges
-    )
-    return replace(graph, edges=edges)
+    return replace(graph, w=[1 + rng.below(max_w) for _ in graph.w])
 
 
-def weak_components(n: int, edges: Iterable[Edge]) -> list[int]:
-    """Component label per vertex, ignoring edge direction. Labels are the
-    smallest vertex index in each component."""
+def weak_components(n: int, edges: Iterable[tuple]) -> list[int]:
+    """Component label per vertex, ignoring edge direction; ``edges`` are
+    any ``(origin, target, ...)`` tuples. Labels are the smallest vertex
+    index in each component."""
     from .dsu import PlainDSU
 
     dsu = PlainDSU(n)
     for e in edges:
-        dsu.join(e.origin, e.target)
+        dsu.join(e[0], e[1])
     label: dict[int, int] = {}
     out = [0] * n
     for v in range(n):
@@ -198,7 +207,8 @@ def attach_super_root(graph: Graph) -> Graph:
     """
     if graph.n == 0:
         raise ValueError("empty graph")
-    comp = weak_components(graph.n, graph.edges)
+    org, tgt, w = graph.org, graph.tgt, graph.w
+    comp = weak_components(graph.n, zip(org, tgt))
     sizes: dict[int, int] = {}
     for c in comp:
         sizes[c] = sizes.get(c, 0) + 1
@@ -207,13 +217,12 @@ def attach_super_root(graph: Graph) -> Graph:
     dense = {old: new for new, old in enumerate(keep)}
     nk = len(keep)
 
-    max_abs = max((abs(e.weight) for e in graph.edges), default=0)
+    max_abs = max(map(abs, w), default=0)
     w_inf = (max_abs + 1) * nk
 
-    edges = []
-    for e in graph.edges:
-        if comp[e.origin] == best:
-            edges.append(Edge(dense[e.origin], dense[e.target], e.weight, len(edges)))
-    for v in range(nk):
-        edges.append(Edge(nk, v, w_inf, len(edges)))
-    return Graph(nk + 1, nk, tuple(edges), orig_ids=tuple(keep))
+    eids = [i for i, u in enumerate(org) if comp[u] == best]
+    return Graph(nk + 1, nk,
+                 [dense[org[i]] for i in eids] + [nk] * nk,
+                 [dense[tgt[i]] for i in eids] + list(range(nk)),
+                 [w[i] for i in eids] + [w_inf] * nk,
+                 orig_ids=tuple(keep))

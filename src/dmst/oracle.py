@@ -24,16 +24,15 @@ def brute_force(graph: Graph) -> tuple[int, frozenset[int]]:
     n, root = graph.n, graph.root
     if n > BRUTE_MAX_N:
         raise ValueError(f"brute_force is limited to n <= {BRUTE_MAX_N}")
+    org, w = graph.org, graph.w
     choices: list[list[int]] = [[] for _ in range(n)]
-    for e in graph.edges:
-        if e.target != root and e.origin != e.target:
-            choices[e.target].append(e.id)
+    for eid, (u, v) in enumerate(zip(org, graph.tgt)):
+        if v != root and u != v:
+            choices[v].append(eid)
     slots = [choices[v] for v in range(n) if v != root]
     verts = [v for v in range(n) if v != root]
     if any(not c for c in slots):
         raise Infeasible
-    org = [e.origin for e in graph.edges]
-    w = [e.weight for e in graph.edges]
 
     best_weight = None
     best_ids: tuple[int, ...] = ()
@@ -80,7 +79,7 @@ def naive_edmonds(graph: Graph) -> int:
     contract every pick-cycle, reduce the weights of edges entering a cycle
     by the target's pick cost, and repeat on the rebuilt graph."""
     n, root = graph.n, graph.root
-    edges = [(e.origin, e.target, e.weight) for e in graph.edges]
+    edges = list(zip(graph.org, graph.tgt, graph.w))
     total = 0
     while True:
         pick: list = [None] * n

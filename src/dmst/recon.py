@@ -84,9 +84,10 @@ class PickLog:
                 cdsu.add_offset(rep, -pc)
             shifts.append(pc)
         if self.debug:
-            edges = self.graph.edges
+            tgt, w = self.graph.tgt, self.graph.w
             for rep in members:
-                assert cdsu.current_cost(edges[self.edge_of(rep)]) == 0, \
+                eid = self.edge_of(rep)
+                assert w[eid] + cdsu.find_offset(tgt[eid])[1] == 0, \
                     "cycle edge cost not zeroed"
         return shifts
 
@@ -113,9 +114,9 @@ def build_leaf_map(result: SolveResult, graph: Graph) -> dict[int, int]:
     """For each non-root vertex, the index of the earliest pick whose
     original target is that vertex."""
     leaf_of: dict[int, int] = {}
-    edges = graph.edges
+    tgt = graph.tgt
     for i, eid in enumerate(result.picked):
-        t = edges[eid].target
+        t = tgt[eid]
         if t not in leaf_of:
             leaf_of[t] = i
     for v in range(graph.n):
@@ -133,7 +134,7 @@ def reconstruct(result: SolveResult, leaf_of: dict[int, int], graph: Graph,
     """
     picked = result.picked
     fp = result.forest_parent
-    edges = graph.edges
+    tgt = graph.tgt
     deleted = [False] * len(picked)
     out: list[int] = []
     visits = 0
@@ -143,7 +144,7 @@ def reconstruct(result: SolveResult, leaf_of: dict[int, int], graph: Graph,
         eid = picked[i]
         out.append(eid)
         deleted[i] = True
-        cur = leaf_of[edges[eid].target]
+        cur = leaf_of[tgt[eid]]
         while cur != -1 and not deleted[cur]:
             deleted[cur] = True
             visits += 1
@@ -155,7 +156,7 @@ def reconstruct(result: SolveResult, leaf_of: dict[int, int], graph: Graph,
             raise RuntimeError(f"emitted {len(out)} edges, expected {graph.n - 1}")
         if not is_arborescence(graph, out):
             raise RuntimeError("emitted edge set is not an arborescence")
-        if sum(edges[eid].weight for eid in out) != result.total_weight:
+        if sum(graph.w[eid] for eid in out) != result.total_weight:
             raise RuntimeError("emitted weight differs from total_weight")
     return out
 
@@ -169,10 +170,10 @@ def is_arborescence(graph: Graph, edge_ids) -> bool:
         return False
     indeg = [0] * n
     adj: list[list[int]] = [[] for _ in range(n)]
+    org, tgt = graph.org, graph.tgt
     for eid in ids:
-        e = graph.edges[eid]
-        indeg[e.target] += 1
-        adj[e.origin].append(e.target)
+        indeg[tgt[eid]] += 1
+        adj[org[eid]].append(tgt[eid])
     if indeg[root] != 0:
         return False
     if any(indeg[v] != 1 for v in range(n) if v != root):

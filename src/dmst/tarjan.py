@@ -35,7 +35,6 @@ class TarjanSolver:
         self.deadline = deadline
         self.debug = debug
         n = graph.n
-        self.org = [e.origin for e in graph.edges]
         self.cdsu = ContractionDSU(n)
         self.wdsu = PlainDSU(n)
         self.queue_of: list = [None] * n
@@ -43,16 +42,15 @@ class TarjanSolver:
         for v in range(n):
             if v != root:
                 self.queue_of[v] = self._new_queue()
-        for e in graph.edges:
+        for eid, (u, v, w) in enumerate(zip(graph.org, graph.tgt, graph.w)):
             # input self-loops can never be chosen; edges into the root are
             # never extracted either
-            if e.target == root or e.origin == e.target:
-                continue
-            self.queue_of[e.target].insert(e.id, e.weight)
+            if v != root and u != v:
+                self.queue_of[v].insert(eid, w)
 
     def _new_queue(self):
         if self.strategy == "matrix":
-            return MatrixQueue(self.graph.n, self.org, self.cdsu.find)
+            return MatrixQueue(self.graph.n, self.graph.org, self.cdsu.find)
         if self.strategy == "heap":
             return LazyHeapQueue()
         return SilQueue()
@@ -61,7 +59,7 @@ class TarjanSolver:
         graph = self.graph
         n, root = graph.n, graph.root
         cdsu, wdsu = self.cdsu, self.wdsu
-        org = self.org
+        org = graph.org
         queue_of = self.queue_of
         log = PickLog(graph, self.deadline, self.debug)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dmst import Edge, Graph, ggst_solve, parse_edge_list, tarjan_solve
+from dmst import Graph, ggst_solve, parse_edge_list, tarjan_solve
 
 G_ONE_TEXT = "1 0 0\n"
 G_TRI_TEXT = "3 4 0\n0 1 5\n0 2 7\n1 2 1\n2 1 1\n"
@@ -44,6 +44,9 @@ def random_instance(rng: random.Random, max_n: int = 8, max_m: int = 20,
     parallels, negative weights."""
     n = rng.randint(1, max_n)
     m = rng.randint(0, max_m)
-    edges = tuple(Edge(rng.randrange(n), rng.randrange(n),
-                       rng.randint(w_lo, w_hi), i) for i in range(m))
-    return Graph(n, rng.randrange(n), edges)
+    org, tgt, w = [], [], []
+    for _ in range(m):
+        org.append(rng.randrange(n))
+        tgt.append(rng.randrange(n))
+        w.append(rng.randint(w_lo, w_hi))
+    return Graph(n, rng.randrange(n), org, tgt, w)

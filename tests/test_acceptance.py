@@ -7,11 +7,12 @@ the whole module is self-contained and repeatable (fixed seeds throughout).
 import random
 import statistics
 import time
+from dataclasses import replace
 
 import pytest
 
 from conftest import SOLVERS, random_instance
-from dmst import (Edge, Graph, Infeasible, brute_force, build_leaf_map,
+from dmst import (Infeasible, brute_force, build_leaf_map,
                   gen_antilemon, gen_er_rooted, ggst_solve, is_arborescence,
                   naive_edmonds, reconstruct, tarjan_solve)
 from test_active_forest import run_af_sequence
@@ -168,10 +169,8 @@ def test_criterion_5_weight_shift_covariance():
             continue
         v = rng.choice([x for x in range(g.n) if x != g.root])
         for delta in (-7, 3):
-            shifted = Graph(g.n, g.root, tuple(
-                Edge(e.origin, e.target,
-                     e.weight + (delta if e.target == v else 0), e.id)
-                for e in g.edges))
+            shifted = replace(g, w=[
+                x + (delta if t == v else 0) for t, x in zip(g.tgt, g.w)])
             for solve in SOLVERS.values():
                 if solve(shifted).total_weight != base + delta:
                     bad += 1

@@ -2,11 +2,12 @@ import csv
 import gc
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from conftest import G_BAD_TEXT, G_TRI_TEXT
-from dmst import Graph, cli, gen_antilemon, parse_edge_list, serialize
+from dmst import cli, gen_antilemon, parse_edge_list, serialize
 
 
 def run_cli(argv):
@@ -175,7 +176,7 @@ def test_bench_weights_agree_across_algos(tmp_path, capsys):
 def test_bench_teardown_collects_ggst_garbage():
     graph = gen_antilemon(50)
     # an extra vertex that nothing enters: infeasible once the forest is grown
-    unreachable = Graph(graph.n + 1, graph.root, graph.edges)
+    unreachable = replace(graph, n=graph.n + 1)
     for g, status in ((graph, "ok"), (unreachable, "infeasible")):
         gc.collect()
         rows = list(cli._bench_rows(g, "anti.txt", "ggst", 1, None))

@@ -98,9 +98,8 @@ def test_antilemon_structure_counters():
 
 
 def test_negative_weights_and_parallel_edges():
-    from dmst import Edge, Graph
-    g = Graph(3, 0, (Edge(0, 1, -5, 0), Edge(0, 1, -9, 1), Edge(1, 2, -1, 2),
-                     Edge(2, 1, -8, 3), Edge(1, 1, -100, 4)))
+    from dmst import Graph
+    g = Graph(3, 0, [0, 0, 1, 2, 1], [1, 1, 2, 1, 1], [-5, -9, -1, -8, -100])
     r = ggst_solve(g, debug=True)
     assert r.total_weight == brute_force(g)[0] == -10
     ids = reconstruct(r, build_leaf_map(r, g), g, debug=True)

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from conftest import G_TRI_TEXT
+from conftest import G_CYC_TEXT, G_TRI_TEXT, SOLVERS
 from dmst import (Edge, Graph, ParseError, SplitMix64, attach_super_root,
-                  parse_edge_list, parse_plain_edge_list, sample_weights,
-                  serialize, weak_components)
+                  build_leaf_map, parse_edge_list, parse_plain_edge_list,
+                  reconstruct, sample_weights, serialize, weak_components)
 
 
 def test_parse_tri():
@@ -18,6 +18,7 @@ def test_parse_tri():
 def test_parse_skips_blank_lines():
     g = parse_edge_list("2 1 0\n\n0 1 3\n\n")
     assert len(g.edges) == 1 and g.edges[0].weight == 3
+    assert parse_edge_list("\n \n2 1 0\n0 1 3\n") == g
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -33,6 +34,8 @@ def test_parse_skips_blank_lines():
     ("2 1 0\n\n0 5 1\n", "index out of range, line 3"),
     ("2 2 0\n0 1 1\n", "expected 2 edges, found 1, line 3"),
     ("2 0 0\n0 1 1\n", "expected 0 edges, found 1, line 3"),
+    ("\n3 4\n", "header must be 'n m r', line 2"),
+    ("\n\n2 1 0\n0 5 1\n", "index out of range, line 4"),
 ])
 def test_parse_errors(text, msg):
     with pytest.raises(ParseError, match="^" + msg + "$"):
@@ -47,6 +50,28 @@ def test_weight_bound():
     assert g.edges[0].weight == big
     with pytest.raises(ParseError, match="weight out of bound"):
         parse_edge_list(f"2 1 0\n0 1 -{big + 1}\n")
+
+
+def test_edges_view_is_cached_and_positional():
+    g = parse_edge_list(G_TRI_TEXT)
+    assert g.edges is g.edges
+    assert g.edges == tuple(Edge(u, v, w, i) for i, (u, v, w)
+                            in enumerate(zip(g.org, g.tgt, g.w)))
+
+
+def test_solve_path_never_builds_edges_view():
+    # the view is a convenience for callers; solvers, the pick log,
+    # reconstruction and graph preparation read the columns
+    for algo, solve in SOLVERS.items():
+        g = parse_edge_list(G_CYC_TEXT)
+        r = solve(g, debug=True)
+        reconstruct(r, build_leaf_map(r, g), g, debug=True)
+        assert "edges" not in vars(g), algo
+    g = parse_plain_edge_list("10 30\n30 10\n5 10\n7 8\n")
+    h = sample_weights(g, 3, 9)
+    s = attach_super_root(h)
+    for graph in (g, h, s):
+        assert "edges" not in vars(graph)
 
 
 def test_serialize_round_trip():
@@ -125,7 +150,7 @@ def test_attach_super_root_tie_goes_to_smallest_member():
 
 def test_attach_super_root_rejects_empty():
     with pytest.raises(ValueError, match="empty graph"):
-        attach_super_root(Graph(0, 0, ()))
+        attach_super_root(Graph(0, 0, [], [], []))
 
 
 def test_attach_super_root_solvable_from_plain_list():

@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import SOLVERS, random_instance
-from dmst import (Edge, Graph, Infeasible, brute_force, tarjan_solve)
+from dmst import (Graph, Infeasible, brute_force, tarjan_solve)
 
 STRATEGIES = ("matrix", "heap", "sil")
 
@@ -46,7 +47,7 @@ def test_unknown_strategy_rejected(g_one):
 
 
 def test_self_loops_and_root_edges_ignored():
-    g = Graph(2, 0, (Edge(1, 1, -50, 0), Edge(1, 0, -50, 1), Edge(0, 1, 3, 2)))
+    g = Graph(2, 0, [1, 1, 0], [1, 0, 1], [-50, -50, 3])
     for strategy in STRATEGIES:
         assert tarjan_solve(g, strategy).total_weight == 3
 
@@ -95,10 +96,8 @@ def test_weight_shift_covariance():
             continue
         v = rng.choice([x for x in range(g.n) if x != g.root])
         for delta in (-7, 3):
-            shifted = Graph(g.n, g.root, tuple(
-                Edge(e.origin, e.target,
-                     e.weight + (delta if e.target == v else 0), e.id)
-                for e in g.edges))
+            shifted = replace(g, w=[
+                x + (delta if t == v else 0) for t, x in zip(g.tgt, g.w)])
             for solve in SOLVERS.values():
                 assert solve(shifted).total_weight == base + delta
         done += 1
