@@ -8,7 +8,10 @@ replace (detach, re-key, splice into the new home's root list with the
 subtree riding along), delete (children return to their own home heaps), the
 root-list concatenation merge, and the consolidating query.
 
-A node's home heap is the heap of find(target). Three invariants, checked by
+A node's home heap is the heap of find(target). Root lists and active nodes
+are int-indexed lists of length n: ``root_ring[rep]`` is an entry into the
+root list of representative rep's heap, ``active[origin]`` the node of
+origin's active edge, None where there is none. Three invariants, checked by
 the debug walk:
   (1) every tree root lies in the root list of its home heap;
   (2) along a parent-child link the parent's home lies at least as close to
@@ -64,16 +67,21 @@ class ActiveForest:
         self.cdsu = cdsu
         self.tgt = tgt
         self.w = w
-        self.root_ring: dict[int, ForestNode] = {}
-        self.active: dict[int, ForestNode] = {}
+        n = len(cdsu.parent)
+        self.root_ring: list[Optional[ForestNode]] = [None] * n
+        self.active: list[Optional[ForestNode]] = [None] * n
         self.queries = 0
         self.deletes = 0
         self.merges = 0
 
+    def counters(self) -> dict[str, int]:
+        return {"af_queries": self.queries, "af_deletes": self.deletes,
+                "af_merges": self.merges}
+
     # -- ring plumbing -------------------------------------------------
 
     def _splice_root(self, node: ForestNode, home: int) -> None:
-        entry = self.root_ring.get(home)
+        entry = self.root_ring[home]
         if entry is None:
             node.left = node.right = node
             self.root_ring[home] = node
@@ -96,33 +104,32 @@ class ActiveForest:
             return
         home = self.cdsu.find(self.tgt[node.eid])
         rem = _unlink(node)
-        if self.root_ring.get(home) is node:
-            if rem is None:
-                del self.root_ring[home]
-            else:
-                self.root_ring[home] = rem
+        if self.root_ring[home] is node:
+            self.root_ring[home] = rem
 
     # -- public operations ---------------------------------------------
+    # insert and replace take the edge's home heap, find(target of eid)
 
-    def insert(self, eid: int, origin: int) -> None:
-        if origin in self.active:
+    def insert(self, eid: int, origin: int, home: int) -> None:
+        if self.active[origin] is not None:
             raise ValueError(f"origin {origin} already has an active edge")
         node = ForestNode(eid, origin)
         self.active[origin] = node
-        self._splice_root(node, self.cdsu.find(self.tgt[eid]))
+        self._splice_root(node, home)
 
-    def replace(self, origin: int, new_eid: int) -> None:
-        node = self.active.get(origin)
+    def replace(self, origin: int, new_eid: int, home: int) -> None:
+        node = self.active[origin]
         if node is None:
             raise ValueError(f"origin {origin} has no active edge")
         self._detach(node)
         node.eid = new_eid
-        self._splice_root(node, self.cdsu.find(self.tgt[new_eid]))
+        self._splice_root(node, home)
 
     def delete(self, origin: int) -> None:
-        node = self.active.pop(origin, None)
+        node = self.active[origin]
         if node is None:
             raise ValueError(f"origin {origin} has no active edge")
+        self.active[origin] = None
         self._detach(node)
         self.deletes += 1
         c = node.child
@@ -141,21 +148,17 @@ class ActiveForest:
         """Concatenate the root lists of the two just-joined super-vertices
         under the surviving representative. a and b are the pre-join
         representatives; the caller has already joined them in the DSU."""
-        ra = self.root_ring.pop(a, None)
-        rb = self.root_ring.pop(b, None)
+        root_ring = self.root_ring
+        ra, rb = root_ring[a], root_ring[b]
+        root_ring[a] = root_ring[b] = None
         self.merges += 1
-        survivor = self.cdsu.find(a)
-        if ra is None:
-            if rb is not None:
-                self.root_ring[survivor] = rb
-            return
-        if rb is not None:
+        if ra is not None and rb is not None:
             ta, tb = ra.left, rb.left
             ta.right = rb
             rb.left = ta
             tb.right = ra
             ra.left = tb
-        self.root_ring[survivor] = ra
+        root_ring[self.cdsu.find(a)] = rb if ra is None else ra
 
     def query_min(self, head: int):
         """Minimum-cost active edge into the head's heap, as a tuple
@@ -165,22 +168,31 @@ class ActiveForest:
         root that no longer belongs to this home heap.
         """
         self.queries += 1
-        entry = self.root_ring.get(head)
-        if entry is None:
+        nxt = self.root_ring[head]
+        if nxt is None:
             return None
-        roots = _ring_nodes(entry)
+        nxt.left.right = None  # open the ring: the walk ends past its tail
         cdsu = self.cdsu
-        find_offset = cdsu.find_offset
+        parent, off, find_offset = cdsu.parent, cdsu.off, cdsu.find_offset
         tgt = self.tgt
         w = self.w
         buckets: dict[int, ForestNode] = {}
-        for nd in roots:
+        visits = 0
+        while nxt is not None:
+            nd, nxt = nxt, nxt.right
             nd.left = nd.right = nd
-            rep, pending = find_offset(tgt[nd.eid])
+            eid = nd.eid
+            t = tgt[eid]
+            p = parent[t]
+            if parent[p] == p:  # t is a root or at depth 1: read its cost
+                rep, pending = p, off[t] if p == t else off[t] + off[p]
+                visits += 1 if p == t else 2
+            else:
+                rep, pending = find_offset(t)
             if rep != head:
                 self._splice_root(nd, rep)
                 continue
-            nd.key = (w[nd.eid] + pending, nd.eid)
+            nd.key = (w[eid] + pending, eid)
             r = nd.rank
             while r in buckets:
                 other = buckets.pop(r)
@@ -200,20 +212,14 @@ class ActiveForest:
                 nd.rank = r + 1
                 r += 1
             buckets[r] = nd
+        cdsu.visits += visits
+        self.root_ring[head] = None
         if not buckets:
-            del self.root_ring[head]
             return None
-        winners = list(buckets.values())
-        first = winners[0]
-        first.left = first.right = first
-        self.root_ring[head] = first
-        best = first
-        for nd in winners[1:]:
-            nd.left = first.left
-            nd.right = first
-            first.left.right = nd
-            first.left = nd
-            if nd.key < best.key:
+        best = None
+        for nd in buckets.values():
+            self._splice_root(nd, head)
+            if best is None or nd.key < best.key:
                 best = nd
         return best.owner, best.eid, best.key[0]
 
@@ -226,7 +232,9 @@ class ActiveForest:
         cdsu = self.cdsu
         tgt, w = self.tgt, self.w
         seen = 0
-        for ring_rep, entry in self.root_ring.items():
+        for ring_rep, entry in enumerate(self.root_ring):
+            if entry is None:
+                continue
             assert cdsu.parent[ring_rep] == ring_rep, "ring keyed by non-representative"
             for root in _ring_nodes(entry):
                 assert root.parent is None
@@ -252,4 +260,5 @@ class ActiveForest:
                             k_key = (w[kid.eid] + k_pend, kid.eid)
                             assert n_key < k_key, "heap order violated in home heap"  # (3)
                         stack.append(kid)
-        assert seen == len(self.active), "forest node count != active owners"
+        owners = sum(nd is not None for nd in self.active)
+        assert seen == owners, "forest node count != active owners"

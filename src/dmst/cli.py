@@ -130,17 +130,22 @@ def _bench_rows(graph: Graph, path: str, algo: str, reps: int, timeout):
             yield timed_out
             continue
         deadline = None if timeout is None else time.monotonic() + timeout
-        t0 = time.perf_counter()
-        solver = _make_solver(algo, graph, deadline)
-        t1 = time.perf_counter()
-        weight, status = "", "ok"
+        # no collection lands inside init or exec; teardown collects
+        gc.disable()
         try:
-            result = solver.run()
-        except SolveTimeout:
-            status = "timeout"
-        except Infeasible:
-            status = "infeasible"
-        t2 = time.perf_counter()
+            t0 = time.perf_counter()
+            solver = _make_solver(algo, graph, deadline)
+            t1 = time.perf_counter()
+            weight, status = "", "ok"
+            try:
+                result = solver.run()
+            except SolveTimeout:
+                status = "timeout"
+            except Infeasible:
+                status = "infeasible"
+            t2 = time.perf_counter()
+        finally:
+            gc.enable()
         if status == "ok":
             ids = reconstruct(result, build_leaf_map(result, graph), graph)
             weight = result.total_weight

@@ -13,8 +13,6 @@ within a small constant of the number of finds once compression kicks in.
 
 from __future__ import annotations
 
-from .graph import Edge
-
 
 class PlainDSU:
     __slots__ = ("parent", "size", "visits")
@@ -91,6 +89,11 @@ class ContractionDSU:
         return r, acc + off[r]
 
     def find(self, v: int) -> int:
+        parent = self.parent
+        p = parent[v]
+        if parent[p] == p:  # v is a root or at depth 1: nothing to compress
+            self.visits += 1 if p == v else 2
+            return p
         return self.find_offset(v)[0]
 
     def join(self, a: int, b: int) -> int:
@@ -110,6 +113,3 @@ class ContractionDSU:
         if self.parent[rep] != rep:
             raise ValueError("add_offset requires a set representative")
         self.off[rep] += delta
-
-    def current_cost(self, edge: Edge) -> int:
-        return edge.weight + self.find_offset(edge.target)[1]

@@ -61,12 +61,20 @@ class GgstSolver:
         parallel edge keeps only the cheaper; a front pointing at an older
         path vertex is demoted to that target's passive list."""
         cdsu = self.cdsu
+        parent, find = cdsu.parent, cdsu.find
         org, tgt, w = self.graph.org, self.graph.tgt, self.graph.w
         exit_ = self.exit_
         in_exit = self.in_exit
         af = self.af
+        visits = 0  # of the finds inlined below, for a root or depth-1 vertex
         for eid in self.in_adj[u]:
-            x = cdsu.find(org[eid])
+            x = org[eid]
+            p = parent[x]
+            if parent[p] == p:
+                visits += 1 if p == x else 2
+                x = p
+            else:
+                x = find(x)
             if x == u:
                 continue
             el = exit_[x]
@@ -74,22 +82,30 @@ class GgstSolver:
                 el.pop()
             if el:
                 f = el[-1]
-                if cdsu.find(tgt[f]) == u:
+                tf = tgt[f]
+                p = parent[tf]
+                if parent[p] == p:
+                    visits += 1 if p == tf else 2
+                    tf = p
+                else:
+                    tf = find(tf)
+                if tf == u:
                     if (w[eid], eid) < (w[f], f):
                         el.pop()
                         in_exit[f] = 0
                         el.append(eid)
                         in_exit[eid] = 1
-                        af.replace(x, eid)
+                        af.replace(x, eid, u)
                     continue
-                self.passive[cdsu.find(tgt[f])].append(f)
+                self.passive[tf].append(f)
                 el.append(eid)
                 in_exit[eid] = 1
-                af.replace(x, eid)
+                af.replace(x, eid, u)
             else:
                 el.append(eid)
                 in_exit[eid] = 1
-                af.insert(eid, x)
+                af.insert(eid, x, u)
+        cdsu.visits += visits
 
     def run(self) -> SolveResult:
         graph = self.graph
@@ -108,7 +124,7 @@ class GgstSolver:
         pos = [-1] * n
         pos_counter = 0
         path: list[int] = []
-        path_index: dict[int, int] = {}
+        path_index = [-1] * n  # position on the path, -1 when off it
         next_start = 0
         round_no = 0
 
@@ -134,22 +150,22 @@ class GgstSolver:
             _owner, eid, cost = res
             log.pick(head, eid, cost)
             u = cdsu.find(org[eid])
+            j = path_index[u]
 
-            if u in path_index:
+            if j >= 0:
                 # contract the path suffix from u through the head
                 round_no += 1
-                j = path_index[u]
                 members = path[j:]
                 del path[j:]
                 for r in members:
-                    del path_index[r]
+                    path_index[r] = -1
                 log.shift(members, cdsu)
                 for r in members:
                     el = exit_[r]
                     for e2 in el:
                         in_exit[e2] = 0
                     exit_[r] = []
-                    if r in af.active:
+                    if af.active[r] is not None:
                         af.delete(r)
                 mem_set = set(members)
                 for r in members:
@@ -167,7 +183,7 @@ class GgstSolver:
                         f = el.pop()
                         while el and not in_exit[el[-1]]:
                             el.pop()
-                        if not el or cdsu.find(tgt[el[-1]]) not in mem_set:
+                        if not el or (hg := cdsu.find(tgt[el[-1]])) not in mem_set:
                             el.append(f)
                             continue
                         g = el[-1]
@@ -178,7 +194,7 @@ class GgstSolver:
                             # as the new front
                             in_exit[f] = 0
                             del_round[f] = round_no
-                            af.replace(b, g)
+                            af.replace(b, g, hg)
                         else:
                             in_exit[g] = 0
                             del_round[g] = round_no
@@ -207,11 +223,10 @@ class GgstSolver:
                 # covered origin: the path can absorb nothing more
                 for r in path:
                     covered[r] = 1
+                    path_index[r] = -1
                 path = []
-                path_index.clear()
 
-        return log.result({"af_queries": af.queries, "af_deletes": af.deletes,
-                           "af_merges": af.merges, "dsu_visits": cdsu.visits})
+        return log.result({**af.counters(), "dsu_visits": cdsu.visits})
 
     def _debug_check(self, pos: list[int]) -> None:
         cdsu = self.cdsu

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
+from .dsu import PlainDSU
 from .errors import ParseError
 
 # Weights must stay small enough that a weight plus n accumulated offsets of
@@ -180,8 +181,6 @@ def weak_components(n: int, edges: Iterable[tuple]) -> list[int]:
     """Component label per vertex, ignoring edge direction; ``edges`` are
     any ``(origin, target, ...)`` tuples. Labels are the smallest vertex
     index in each component."""
-    from .dsu import PlainDSU
-
     dsu = PlainDSU(n)
     for e in edges:
         dsu.join(e[0], e[1])

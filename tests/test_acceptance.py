@@ -180,6 +180,7 @@ def test_criterion_5_weight_shift_covariance():
            f"{bad} wrong totals")
 
 
+@pytest.mark.slow
 def test_criterion_6_antilemon_worst_case():
     k = 100_000
     g = gen_antilemon(k)
@@ -198,6 +199,7 @@ def test_criterion_6_antilemon_worst_case():
                   f"{k * k // 8:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_7_scaling_sanity():
     from dmst import GgstSolver, TarjanSolver
     n = 100_000

@@ -40,6 +40,13 @@ class Rig:
         self.next_pos += 1
         return v
 
+    # forest insert/replace, given the home heap the solver would pass
+    def insert(self, eid: int, origin: int) -> None:
+        self.af.insert(eid, origin, self.cdsu.find(self.tgt[eid]))
+
+    def replace(self, origin: int, eid: int) -> None:
+        self.af.replace(origin, eid, self.cdsu.find(self.tgt[eid]))
+
     def cost(self, eid: int) -> int:
         return self.w[eid] + self.cdsu.find_offset(self.tgt[eid])[1]
 
@@ -61,7 +68,7 @@ def test_insert_and_query_singleton():
     rig = Rig()
     h = rig.extend()
     eid = rig.add_edge(7, h, 42)
-    rig.af.insert(eid, 7)
+    rig.insert(eid, 7)
     assert rig.af.query_min(h) == (7, eid, 42)
     rig.af.check_invariants(rig.pos)
 
@@ -71,8 +78,8 @@ def test_query_returns_cheaper_of_two():
     h = rig.extend()
     e7 = rig.add_edge(5, h, 7)
     e4 = rig.add_edge(6, h, 4)
-    rig.af.insert(e7, 5)
-    rig.af.insert(e4, 6)
+    rig.insert(e7, 5)
+    rig.insert(e4, 6)
     assert rig.af.query_min(h) == (6, e4, 4)
     rig.af.check_invariants(rig.pos)
 
@@ -82,7 +89,7 @@ def test_heaps_are_isolated():
     a = rig.extend()
     b = rig.extend()
     eid = rig.add_edge(9, a, 1)
-    rig.af.insert(eid, 9)
+    rig.insert(eid, 9)
     assert rig.af.query_min(b) is None
     assert rig.af.query_min(a) == (9, eid, 1)
 
@@ -90,18 +97,18 @@ def test_heaps_are_isolated():
 def test_insert_twice_same_origin_rejected():
     rig = Rig()
     h = rig.extend()
-    rig.af.insert(rig.add_edge(3, h, 1), 3)
+    rig.insert(rig.add_edge(3, h, 1), 3)
     with pytest.raises(ValueError, match="already has an active edge"):
-        rig.af.insert(rig.add_edge(3, h, 2), 3)
+        rig.insert(rig.add_edge(3, h, 2), 3)
 
 
 def test_replace_rekeys_in_place():
     rig = Rig()
     h = rig.extend()
     e9 = rig.add_edge(4, h, 9)
-    rig.af.insert(e9, 4)
+    rig.insert(e9, 4)
     e2 = rig.add_edge(4, h, 2)
-    rig.af.replace(4, e2)
+    rig.replace(4, e2)
     assert rig.af.query_min(h) == (4, e2, 2)
     rig.af.check_invariants(rig.pos)
 
@@ -111,9 +118,9 @@ def test_replace_moves_leaf_between_heaps():
     a = rig.extend()
     b = rig.extend()
     e0 = rig.add_edge(8, a, 5)
-    rig.af.insert(e0, 8)
+    rig.insert(e0, 8)
     e1 = rig.add_edge(8, b, 5)
-    rig.af.replace(8, e1)
+    rig.replace(8, e1)
     assert rig.af.query_min(a) is None
     assert rig.af.query_min(b) == (8, e1, 5)
     rig.af.check_invariants(rig.pos)
@@ -127,11 +134,11 @@ def test_replace_and_delete_reroute_displaced_child():
     b = rig.extend()
     e0 = rig.add_edge(3, a, 5)
     e1 = rig.add_edge(4, a, 7)
-    rig.af.insert(e0, 3)
-    rig.af.insert(e1, 4)
+    rig.insert(e0, 3)
+    rig.insert(e1, 4)
     assert rig.af.query_min(a) == (3, e0, 5)   # links e1 under e0
     e2 = rig.add_edge(3, b, 1)
-    rig.af.replace(3, e2)                      # subtree rides to heap b
+    rig.replace(3, e2)                      # subtree rides to heap b
     rig.af.check_invariants(rig.pos)
     assert rig.af.query_min(b) == (3, e2, 1)
     rig.af.delete(3)
@@ -145,13 +152,13 @@ def test_replace_without_node_rejected():
     h = rig.extend()
     eid = rig.add_edge(2, h, 1)
     with pytest.raises(ValueError, match="has no active edge"):
-        rig.af.replace(2, eid)
+        rig.replace(2, eid)
 
 
 def test_delete_only_node_empties_heap():
     rig = Rig()
     h = rig.extend()
-    rig.af.insert(rig.add_edge(1, h, 3), 1)
+    rig.insert(rig.add_edge(1, h, 3), 1)
     rig.af.delete(1)
     assert rig.af.query_min(h) is None
     with pytest.raises(ValueError, match="has no active edge"):
@@ -163,7 +170,7 @@ def test_delete_root_surfaces_both_children():
     h = rig.extend()
     eids = [rig.add_edge(10 + i, h, c) for i, c in enumerate((3, 5, 9, 11))]
     for i, eid in enumerate(eids):
-        rig.af.insert(eid, 10 + i)
+        rig.insert(eid, 10 + i)
     assert rig.af.query_min(h) == (10, eids[0], 3)  # rank-2 tree rooted at 3
     rig.af.delete(10)
     rig.af.check_invariants(rig.pos)
@@ -175,9 +182,9 @@ def test_merge_front_folds_second_into_head():
     a = rig.extend()
     b = rig.extend()
     e0 = rig.add_edge(5, a, 3)
-    rig.af.insert(e0, 5)
+    rig.insert(e0, 5)
     e1 = rig.add_edge(6, b, 5)
-    rig.af.insert(e1, 6)
+    rig.insert(e1, 6)
     m = rig.cdsu.join(b, a)
     rig.af.merge_front(b, a)
     rig.pos[m] = rig.pos[b]
@@ -190,7 +197,7 @@ def test_merge_front_with_empty_side():
     a = rig.extend()
     b = rig.extend()
     e0 = rig.add_edge(5, a, 3)
-    rig.af.insert(e0, 5)
+    rig.insert(e0, 5)
     m = rig.cdsu.join(b, a)
     rig.af.merge_front(b, a)
     rig.pos[m] = rig.pos[b]
@@ -207,7 +214,7 @@ def test_consolidation_leaves_unique_ranks():
     rig = Rig()
     h = rig.extend()
     for i, c in enumerate((5, 3, 9, 1, 7, 2, 8)):
-        rig.af.insert(rig.add_edge(20 + i, h, c), 20 + i)
+        rig.insert(rig.add_edge(20 + i, h, c), 20 + i)
     assert rig.af.query_min(h)[2] == 1
     roots = _ring_nodes(rig.af.root_ring[rig.cdsu.find(h)])
     ranks = [nd.rank for nd in roots]
@@ -232,7 +239,7 @@ def run_af_sequence(seed: int, nops: int, check_every_op: bool = True) -> None:
                 o = rng.choice(free)
                 t = rng.choice(rig.path)
                 eid = rig.add_edge(o, t, rng.randint(-50, 50))
-                rig.af.insert(eid, o)
+                rig.insert(eid, o)
                 rig.active[o] = eid
         elif roll < 0.60:
             if rig.active:
@@ -251,7 +258,7 @@ def run_af_sequence(seed: int, nops: int, check_every_op: bool = True) -> None:
                     # same home, strictly cheaper stored weight
                     eid = rig.add_edge(o, rig.tgt[cur],
                                        rig.w[cur] - rng.randint(1, 5))
-                rig.af.replace(o, eid)
+                rig.replace(o, eid)
                 rig.active[o] = eid
         elif roll < 0.70:
             if rig.active:
@@ -286,7 +293,8 @@ def test_randomized_sequences_match_scan_oracle():
 def test_counters_tick():
     rig = Rig()
     h = rig.extend()
-    rig.af.insert(rig.add_edge(2, h, 4), 2)
+    rig.insert(rig.add_edge(2, h, 4), 2)
     rig.af.query_min(h)
     rig.af.delete(2)
     assert rig.af.queries == 1 and rig.af.deletes == 1
+    assert rig.af.counters() == {"af_queries": 1, "af_deletes": 1, "af_merges": 0}

@@ -184,6 +184,31 @@ def test_bench_teardown_collects_ggst_garbage():
         assert gc.collect() == 0, status
 
 
+def test_bench_gc_off_in_init_and_exec_only(monkeypatch):
+    seen = []
+
+    class Spy(cli.GgstSolver):
+        def __init__(self, *args, **kwargs):
+            seen.append(gc.isenabled())
+            super().__init__(*args, **kwargs)
+
+        def run(self):
+            seen.append(gc.isenabled())
+            return super().run()
+
+    monkeypatch.setattr(cli, "GgstSolver", Spy)
+    graph = gen_antilemon(50)
+    unreachable = replace(graph, n=graph.n + 1)
+    # a budget that has run out by the first pick's deadline poll
+    for g, timeout, status in ((graph, 1e-9, "timeout"),
+                               (unreachable, None, "infeasible"),
+                               (graph, None, "ok")):
+        rows = list(cli._bench_rows(g, "anti.txt", "ggst", 1, timeout))
+        assert rows[0][9] == status
+        assert gc.isenabled(), status
+    assert seen == [False, False] * 3
+
+
 def test_bench_timeout_zero(tmp_path, capsys):
     inp = tmp_path / "tri.txt"
     inp.write_text(G_TRI_TEXT)

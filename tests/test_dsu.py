@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dmst import ContractionDSU, Edge, PlainDSU
+from dmst import ContractionDSU, PlainDSU
 
 
 def test_plain_fresh_singletons():
@@ -36,13 +36,13 @@ def test_plain_single_set_after_n_minus_1_joins():
 
 
 def test_offset_singleton():
+    # an edge of weight 10 into vertex 1
     d = ContractionDSU(2)
-    e = Edge(0, 1, 10, 0)
-    assert d.current_cost(e) == 10
+    assert 10 + d.find_offset(1)[1] == 10
     d.add_offset(1, 0)
-    assert d.current_cost(e) == 10
+    assert 10 + d.find_offset(1)[1] == 10
     d.add_offset(1, -3)
-    assert d.current_cost(e) == 7
+    assert 10 + d.find_offset(1)[1] == 7
 
 
 def test_offset_survives_join_with_fresh_set():
@@ -51,13 +51,12 @@ def test_offset_survives_join_with_fresh_set():
     d.add_offset(0, -1)
     d.add_offset(0, -1)
     r = d.join(0, 1)
-    into_old = Edge(2, 0, 10, 0)
-    into_fresh = Edge(2, 1, 10, 1)
-    assert d.current_cost(into_old) == 8
-    assert d.current_cost(into_fresh) == 10
+    # edges of weight 10 into the old set's vertex 0 and the fresh vertex 1
+    assert 10 + d.find_offset(0)[1] == 8
+    assert 10 + d.find_offset(1)[1] == 10
     d.add_offset(r, -5)
-    assert d.current_cost(into_old) == 3
-    assert d.current_cost(into_fresh) == 5
+    assert 10 + d.find_offset(0)[1] == 3
+    assert 10 + d.find_offset(1)[1] == 5
 
 
 def test_add_offset_rejects_non_representative():
@@ -105,9 +104,42 @@ def test_offsets_against_shadow_oracle():
         else:
             v = rng.randrange(n)
             w = rng.randint(-100, 100)
-            assert d.current_cost(Edge(0, v, w, 0)) == w + shadow[v]
+            assert w + d.find_offset(v)[1] == w + shadow[v]
     for v in range(n):
-        assert d.current_cost(Edge(0, v, 5, 0)) == 5 + shadow[v]
+        assert 5 + d.find_offset(v)[1] == 5 + shadow[v]
+
+
+def _walk(d: ContractionDSU, v: int) -> tuple[int, int, int]:
+    """Representative, summed offset and path length of v, read without
+    compressing anything."""
+    acc, length = d.off[v], 1
+    while d.parent[v] != v:
+        v = d.parent[v]
+        acc += d.off[v]
+        length += 1
+    return v, acc, length
+
+
+def test_find_agrees_with_find_offset_and_keeps_offsets():
+    rng = random.Random(1618)
+    n = 40
+    d = ContractionDSU(n)
+    for _ in range(4000):
+        op = rng.randrange(4)
+        if op == 0:
+            d.join(rng.randrange(n), rng.randrange(n))
+        elif op == 1:
+            d.add_offset(d.find(rng.randrange(n)), rng.randint(-20, 20))
+        else:
+            v = rng.randrange(n)
+            before = [_walk(d, x)[1] for x in range(n)]
+            rep, _, length = _walk(d, v)
+            visits = d.visits
+            assert d.find(v) == rep
+            assert d.visits - visits == length
+            assert [_walk(d, x)[1] for x in range(n)] == before
+            if op == 3:
+                assert d.find_offset(v) == (rep, before[v])
 
 
 def test_find_visit_counter_stays_near_linear():

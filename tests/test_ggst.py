@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -104,3 +105,29 @@ def test_negative_weights_and_parallel_edges():
     assert r.total_weight == brute_force(g)[0] == -10
     ids = reconstruct(r, build_leaf_map(r, g), g, debug=True)
     assert sorted(ids) == [1, 2]
+
+
+def _digest(xs: list[int]) -> str:
+    return hashlib.sha256(",".join(map(str, xs)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("make, want", [
+    (lambda: gen_antilemon(300),
+     (300, "a613a851f065d03f", "ba17bb2b85fd0fbe",
+      {"picks": 599, "contractions": 299, "af_queries": 599,
+       "af_deletes": 598, "af_merges": 299}, 6898)),
+    (lambda: gen_er_rooted(2000, 8000, 100, 11),
+     (47397, "e3d508e6b88b22bd", "b139e3347cf2c7b8",
+      {"picks": 2008, "contractions": 9, "af_queries": 2008,
+       "af_deletes": 154, "af_merges": 149}, 47634)),
+], ids=["antilemon-300", "er-2000-8000"])
+def test_golden_trace_and_counters(make, want):
+    # the trace and counters on two fixed instances: a faster exec must pick
+    # the same edges in the same order, and may only make fewer DSU visits
+    weight, picked, parents, counters, max_visits = want
+    r = ggst_solve(make())
+    assert r.total_weight == weight
+    assert _digest(r.picked) == picked
+    assert _digest(r.forest_parent) == parents
+    assert {k: r.counters[k] for k in counters} == counters
+    assert r.counters["dsu_visits"] <= max_visits
