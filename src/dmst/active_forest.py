@@ -8,11 +8,12 @@ replace (detach, re-key, splice into the new home's root list with the
 subtree riding along), delete (children return to their own home heaps), the
 root-list concatenation merge, and the consolidating query.
 
-A node's home heap is the heap of find(target). Root lists and active nodes
-are int-indexed lists of length n: ``root_ring[rep]`` is an entry into the
-root list of representative rep's heap, ``active[origin]`` the node of
-origin's active edge, None where there is none. Three invariants, checked by
-the debug walk:
+A node's home heap is the heap of its target's representative,
+``cdsu.parent[target]``. Root lists and active nodes are int-indexed lists
+of length n: ``root_ring[rep]`` is an entry into the root list of
+representative rep's heap, ``active[origin]`` the node of origin's active
+edge, None where there is none. Three invariants, checked by the debug
+walk:
   (1) every tree root lies in the root list of its home heap;
   (2) along a parent-child link the parent's home lies at least as close to
       the growth path head as the child's;
@@ -102,13 +103,13 @@ class ActiveForest:
             parent.rank -= 1
             node.parent = None
             return
-        home = self.cdsu.find(self.tgt[node.eid])
+        home = self.cdsu.parent[self.tgt[node.eid]]
         rem = _unlink(node)
         if self.root_ring[home] is node:
             self.root_ring[home] = rem
 
     # -- public operations ---------------------------------------------
-    # insert and replace take the edge's home heap, find(target of eid)
+    # insert and replace take the edge's home heap, parent[target of eid]
 
     def insert(self, eid: int, origin: int, home: int) -> None:
         if self.active[origin] is not None:
@@ -137,12 +138,12 @@ class ActiveForest:
             return
         node.child = None
         node.rank = 0
-        find = self.cdsu.find
+        parent = self.cdsu.parent
         tgt = self.tgt
         for kid in _ring_nodes(c):
             kid.parent = None
             kid.left = kid.right = kid
-            self._splice_root(kid, find(tgt[kid.eid]))
+            self._splice_root(kid, parent[tgt[kid.eid]])
 
     def merge_front(self, a: int, b: int) -> None:
         """Concatenate the root lists of the two just-joined super-vertices
@@ -158,7 +159,7 @@ class ActiveForest:
             rb.left = ta
             tb.right = ra
             ra.left = tb
-        root_ring[self.cdsu.find(a)] = rb if ra is None else ra
+        root_ring[self.cdsu.parent[a]] = rb if ra is None else ra
 
     def query_min(self, head: int):
         """Minimum-cost active edge into the head's heap, as a tuple
@@ -172,26 +173,20 @@ class ActiveForest:
         if nxt is None:
             return None
         nxt.left.right = None  # open the ring: the walk ends past its tail
-        cdsu = self.cdsu
-        parent, off, find_offset = cdsu.parent, cdsu.off, cdsu.find_offset
+        parent, off = self.cdsu.parent, self.cdsu.off
         tgt = self.tgt
         w = self.w
         buckets: dict[int, ForestNode] = {}
-        visits = 0
         while nxt is not None:
             nd, nxt = nxt, nxt.right
             nd.left = nd.right = nd
             eid = nd.eid
             t = tgt[eid]
-            p = parent[t]
-            if parent[p] == p:  # t is a root or at depth 1: read its cost
-                rep, pending = p, off[t] if p == t else off[t] + off[p]
-                visits += 1 if p == t else 2
-            else:
-                rep, pending = find_offset(t)
+            rep = parent[t]
             if rep != head:
                 self._splice_root(nd, rep)
                 continue
+            pending = off[t] if rep == t else off[t] + off[rep]
             nd.key = (w[eid] + pending, eid)
             r = nd.rank
             while r in buckets:
@@ -212,7 +207,6 @@ class ActiveForest:
                 nd.rank = r + 1
                 r += 1
             buckets[r] = nd
-        cdsu.visits += visits
         self.root_ring[head] = None
         if not buckets:
             return None

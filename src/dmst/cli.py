@@ -73,7 +73,12 @@ def _build_parser() -> _Parser:
 def _read_instance(path: str) -> Graph:
     if path == "-":
         return parse_edge_list(sys.stdin.read())
-    return parse_edge_list(Path(path).read_text(encoding="ascii"))
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise ParseError(f"non-ASCII byte, line {line}") from None
+    return parse_edge_list(text)
 
 
 def _make_solver(algo: str, graph: Graph, deadline=None):

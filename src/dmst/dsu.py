@@ -1,113 +1,91 @@
-"""Disjoint set union, plain and with per-set weight offsets.
+"""Disjoint set union over flat sets, plain and with per-set weight offsets.
+
+Every set is flat: ``parent[v]`` is v's representative, so a find is one
+list read and callers on hot paths read ``parent`` directly. A join keeps
+union by size (the first argument's set wins ties) and relabels the smaller
+set, walking its circular member ring ``nxt``; a vertex is relabelled only
+when its set at least doubles, so all joins cost O(n log n) together.
 
 PlainDSU tracks weakly connected components of chosen edges. ContractionDSU
 additionally carries an additive cost offset per set: contracting a cycle
 subtracts each member's picked cost from all of its incoming edges, and the
-offsets implement that without touching any edge. Offsets are stored per
-node relative to the parent and folded into nodes during path compression,
-so reading a current cost is as cheap as a find.
+offsets implement that without touching any edge.
 
-Both classes count find-path node visits in ``visits``; total visits stay
-within a small constant of the number of finds once compression kicks in.
+Both classes count the members relabelled by joins in ``visits``; finds
+are not counted.
 """
 
 from __future__ import annotations
 
 
 class PlainDSU:
-    __slots__ = ("parent", "size", "visits")
+    __slots__ = ("parent", "size", "nxt", "visits")
 
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.size = [1] * n
+        self.nxt = self.parent[:]  # shares parent's int objects
         self.visits = 0
 
     def find(self, v: int) -> int:
-        parent = self.parent
-        r = v
-        steps = 1
-        while parent[r] != r:
-            r = parent[r]
-            steps += 1
-        while parent[v] != r:
-            parent[v], v = r, parent[v]
-        self.visits += steps
-        return r
+        return self.parent[v]
 
     def join(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
+        parent, size = self.parent, self.size
+        ra, rb = parent[a], parent[b]
         if ra == rb:
             return ra
-        if self.size[ra] < self.size[rb]:
+        if size[ra] < size[rb]:
             ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+        self._relabel(ra, rb)
+        nxt = self.nxt
+        nxt[ra], nxt[rb] = nxt[rb], nxt[ra]  # splice the two rings
+        size[ra] += size[rb]
+        self.visits += size[rb]
         return ra
 
+    def _relabel(self, ra: int, rb: int) -> None:
+        """Point every member of rb's set at ra."""
+        parent, nxt = self.parent, self.nxt
+        parent[rb] = ra
+        v = nxt[rb]
+        while v != rb:
+            parent[v] = ra
+            v = nxt[v]
 
-class ContractionDSU:
+
+class ContractionDSU(PlainDSU):
     """Union-find with an additive offset applied to whole sets.
 
-    The current cost of an edge is its stored weight plus the offsets
-    accumulated by the set(s) its target has belonged to. ``off[v]`` is
-    relative to ``parent[v]``; the root's entry is relative to nothing.
+    The current cost of an edge is its stored weight plus the offset of its
+    target. ``off[rep]`` is the offset of rep's whole set; a member's entry
+    is relative to its representative.
     """
 
-    __slots__ = ("parent", "size", "off", "visits")
+    __slots__ = ("off",)
 
     def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
+        super().__init__(n)
         self.off = [0] * n
-        self.visits = 0
 
     def find_offset(self, v: int) -> tuple[int, int]:
-        """Representative of v and the summed offset along the way, root
-        included. Compresses the path, folding child offsets so every
-        touched node ends up relative to the root."""
-        parent = self.parent
-        off = self.off
-        r = v
-        acc = 0
-        steps = 1
-        while parent[r] != r:
-            acc += off[r]
-            r = parent[r]
-            steps += 1
-        self.visits += steps
-        # second pass: each node's new offset is the suffix sum from itself
-        # up to (excluding) the root
-        node = v
-        s = acc
-        while node != r:
-            nxt = parent[node]
-            o = off[node]
-            off[node] = s
-            s -= o
-            parent[node] = r
-            node = nxt
-        return r, acc + off[r]
+        """Representative of v and v's offset, the set's included."""
+        r = self.parent[v]
+        if r == v:
+            return r, self.off[v]
+        return r, self.off[v] + self.off[r]
 
-    def find(self, v: int) -> int:
-        parent = self.parent
-        p = parent[v]
-        if parent[p] == p:  # v is a root or at depth 1: nothing to compress
-            self.visits += 1 if p == v else 2
-            return p
-        return self.find_offset(v)[0]
-
-    def join(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        # keep rb's members at their accumulated value: rb's entry becomes
-        # relative to ra
-        self.parent[rb] = ra
-        self.off[rb] -= self.off[ra]
-        self.size[ra] += self.size[rb]
-        return ra
+    def _relabel(self, ra: int, rb: int) -> None:
+        # rb's members keep their accumulated value, now relative to ra
+        parent, nxt, off = self.parent, self.nxt, self.off
+        d = off[rb] - off[ra]
+        parent[rb] = ra
+        off[rb] = d
+        v = nxt[rb]
+        while v != rb:
+            parent[v] = ra
+            off[v] += d
+            v = nxt[v]
 
     def add_offset(self, rep: int, delta: int) -> None:
         if self.parent[rep] != rep:

@@ -60,21 +60,13 @@ class GgstSolver:
         exit-list front must be the unique edge toward u, so a second
         parallel edge keeps only the cheaper; a front pointing at an older
         path vertex is demoted to that target's passive list."""
-        cdsu = self.cdsu
-        parent, find = cdsu.parent, cdsu.find
+        parent = self.cdsu.parent
         org, tgt, w = self.graph.org, self.graph.tgt, self.graph.w
         exit_ = self.exit_
         in_exit = self.in_exit
         af = self.af
-        visits = 0  # of the finds inlined below, for a root or depth-1 vertex
         for eid in self.in_adj[u]:
-            x = org[eid]
-            p = parent[x]
-            if parent[p] == p:
-                visits += 1 if p == x else 2
-                x = p
-            else:
-                x = find(x)
+            x = parent[org[eid]]
             if x == u:
                 continue
             el = exit_[x]
@@ -82,13 +74,7 @@ class GgstSolver:
                 el.pop()
             if el:
                 f = el[-1]
-                tf = tgt[f]
-                p = parent[tf]
-                if parent[p] == p:
-                    visits += 1 if p == tf else 2
-                    tf = p
-                else:
-                    tf = find(tf)
+                tf = parent[tgt[f]]
                 if tf == u:
                     if (w[eid], eid) < (w[f], f):
                         el.pop()
@@ -105,12 +91,12 @@ class GgstSolver:
                 el.append(eid)
                 in_exit[eid] = 1
                 af.insert(eid, x, u)
-        cdsu.visits += visits
 
     def run(self) -> SolveResult:
         graph = self.graph
         n, root = graph.n, graph.root
         cdsu = self.cdsu
+        parent = cdsu.parent
         af = self.af
         org, tgt, w = graph.org, graph.tgt, graph.w
         exit_, passive = self.exit_, self.passive
@@ -130,7 +116,7 @@ class GgstSolver:
 
         while True:
             if not path:
-                while next_start < n and covered[cdsu.find(next_start)]:
+                while next_start < n and covered[parent[next_start]]:
                     next_start += 1
                 if next_start == n:
                     break
@@ -149,7 +135,7 @@ class GgstSolver:
                 raise Infeasible
             _owner, eid, cost = res
             log.pick(head, eid, cost)
-            u = cdsu.find(org[eid])
+            u = parent[org[eid]]
             j = path_index[u]
 
             if j >= 0:
@@ -174,7 +160,7 @@ class GgstSolver:
                     for e2 in bucket:
                         if not in_exit[e2] and del_round[e2] != round_no:
                             continue  # stale: its origin was contracted away
-                        b = cdsu.find(org[e2])
+                        b = parent[org[e2]]
                         el = exit_[b]
                         while el and not in_exit[el[-1]]:
                             el.pop()
@@ -183,7 +169,7 @@ class GgstSolver:
                         f = el.pop()
                         while el and not in_exit[el[-1]]:
                             el.pop()
-                        if not el or (hg := cdsu.find(tgt[el[-1]])) not in mem_set:
+                        if not el or (hg := parent[tgt[el[-1]]]) not in mem_set:
                             el.append(f)
                             continue
                         g = el[-1]

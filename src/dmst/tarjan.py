@@ -59,6 +59,7 @@ class TarjanSolver:
         graph = self.graph
         n, root = graph.n, graph.root
         cdsu, wdsu = self.cdsu, self.wdsu
+        parent, wparent = cdsu.parent, wdsu.parent
         org = graph.org
         queue_of = self.queue_of
         log = PickLog(graph, self.deadline, self.debug)
@@ -72,12 +73,12 @@ class TarjanSolver:
                 if item is None:
                     raise Infeasible
                 eid, cost = item
-                u = cdsu.find(org[eid])
+                u = parent[org[eid]]
                 if u != v:
                     break
                 log.tick()
             log.pick(v, eid, cost)
-            if wdsu.find(u) != wdsu.find(v):
+            if wparent[u] != wparent[v]:
                 wdsu.join(u, v)
                 continue
             # u reaches v through earlier picks: contract the cycle
@@ -85,7 +86,7 @@ class TarjanSolver:
             cur = u
             while cur != v:
                 members.append(cur)
-                cur = cdsu.find(org[log.edge_of(cur)])
+                cur = parent[org[log.edge_of(cur)]]
             for rep, pc in zip(members, log.shift(members, cdsu)):
                 if pc:
                     queue_of[rep].add_constant(-pc)
@@ -98,7 +99,6 @@ class TarjanSolver:
             log.contract(members, merged_rep)
             stack.append(merged_rep)
 
-        parent = cdsu.parent
         live = [queue_of[v] for v in range(n) if v != root and parent[v] == v]
         counters = type(live[0]).counters(live) if live else {}
         counters["dsu_visits"] = cdsu.visits + wdsu.visits

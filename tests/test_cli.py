@@ -81,6 +81,16 @@ def test_solve_parse_error(tmp_path, capsys):
     assert "line 1" in captured.err
 
 
+def test_solve_non_ascii_is_parse_error(tmp_path, capsys):
+    inp = tmp_path / "accent.txt"
+    inp.write_bytes(b"2 1 0\n0 1 5\xc3\xa9\n")
+    code = run_cli(["solve", "--algo", "ggst", "--in", str(inp),
+                    "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "non-ASCII byte, line 2" in captured.err
+
+
 def test_solve_root_override(tmp_path, capsys):
     # G_cyc rooted at 1 instead: 1 -> 2 costs 1, nothing needed into 1
     inp = tmp_path / "cyc.txt"
@@ -238,6 +248,23 @@ def test_bench_unreadable_instance_records_error(tmp_path, capsys):
     assert len(rows) == 2
     assert rows[0][9] == "error" and rows[0][4] == ""
     assert rows[1][9] == "ok" and rows[1][4] == "6"
+
+
+def test_bench_non_ascii_instance_records_error(tmp_path, capsys):
+    bad = tmp_path / "accent.txt"
+    bad.write_bytes(b"2 1 0\n0 1 5\xc3\xa9\n")
+    good = tmp_path / "tri.txt"
+    good.write_text(G_TRI_TEXT)
+    out = tmp_path / "bench.csv"
+    code = run_cli(["bench", "--algos", "ggst,tarjan-sil",
+                    "--in", str(bad), str(good), "--csv", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "line 2" in captured.err
+    rows = read_rows(out)[1:]
+    assert [(r[0], r[1], r[9]) for r in rows] == [
+        (str(bad), "ggst", "error"), (str(bad), "tarjan-sil", "error"),
+        (str(good), "ggst", "ok"), (str(good), "tarjan-sil", "ok")]
 
 
 def test_bench_infeasible_status(tmp_path, capsys):

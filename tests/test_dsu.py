@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -109,47 +110,66 @@ def test_offsets_against_shadow_oracle():
         assert 5 + d.find_offset(v)[1] == 5 + shadow[v]
 
 
-def _walk(d: ContractionDSU, v: int) -> tuple[int, int, int]:
-    """Representative, summed offset and path length of v, read without
-    compressing anything."""
-    acc, length = d.off[v], 1
-    while d.parent[v] != v:
-        v = d.parent[v]
-        acc += d.off[v]
-        length += 1
-    return v, acc, length
+def _state(d: ContractionDSU):
+    return (d.parent[:], d.size[:], d.nxt[:], d.off[:], d.visits)
 
 
-def test_find_agrees_with_find_offset_and_keeps_offsets():
+def test_sets_stay_flat_and_finds_keep_state():
+    # naive shadow offsets as in test_offsets_against_shadow_oracle; after
+    # every operation all sets are flat and a find changes nothing
     rng = random.Random(1618)
     n = 40
     d = ContractionDSU(n)
+    shadow = [0] * n
+    label = list(range(n))  # naive component labels
     for _ in range(4000):
         op = rng.randrange(4)
         if op == 0:
-            d.join(rng.randrange(n), rng.randrange(n))
+            a, b = rng.randrange(n), rng.randrange(n)
+            d.join(a, b)
+            la, lb = label[a], label[b]
+            label = [la if x == lb else x for x in label]
         elif op == 1:
-            d.add_offset(d.find(rng.randrange(n)), rng.randint(-20, 20))
+            v = rng.randrange(n)
+            delta = rng.randint(-20, 20)
+            d.add_offset(d.find(v), delta)
+            lv = label[v]
+            for x in range(n):
+                if label[x] == lv:
+                    shadow[x] += delta
         else:
             v = rng.randrange(n)
-            before = [_walk(d, x)[1] for x in range(n)]
-            rep, _, length = _walk(d, v)
-            visits = d.visits
-            assert d.find(v) == rep
-            assert d.visits - visits == length
-            assert [_walk(d, x)[1] for x in range(n)] == before
-            if op == 3:
-                assert d.find_offset(v) == (rep, before[v])
+            before = _state(d)
+            rep = d.find(v)
+            assert d.find_offset(v) == (rep, shadow[v])
+            assert _state(d) == before
+        assert all(d.parent[d.parent[v]] == d.parent[v] for v in range(n))
+        assert all((d.find(u) == d.find(v)) == (label[u] == label[v])
+                   for u in range(n) for v in range(n))
+        for v in range(n):
+            assert d.find_offset(v)[1] == shadow[v]
 
 
-def test_find_visit_counter_stays_near_linear():
+@pytest.mark.parametrize("cls", [PlainDSU, ContractionDSU])
+def test_join_relabels_at_most_n_log_n(cls):
+    # balanced pairwise merges: every round relabels half of all vertices
+    n = 2 ** 14
+    d = cls(n)
+    step = 1
+    while step < n:
+        for v in range(0, n, 2 * step):
+            d.join(v, v + step)
+        step *= 2
+    assert d.visits == (n // 2) * 14
+    assert len({d.find(v) for v in range(n)}) == 1
+
     rng = random.Random(2718)
     n = 100_000
-    m = 1_000_000
-    d = ContractionDSU(n)
-    for v in range(1, n):
-        d.join(rng.randrange(v), v)
+    d = cls(n)
+    for _ in range(2 * n):
+        d.join(rng.randrange(n), rng.randrange(n))
+    assert d.visits <= n * math.log2(n)
     d.visits = 0
-    for _ in range(m):
+    for _ in range(1000):
         d.find(rng.randrange(n))
-    assert d.visits <= 4 * m
+    assert d.visits == 0
