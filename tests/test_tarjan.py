@@ -1,10 +1,12 @@
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
 
 from conftest import SOLVERS, random_instance
-from dmst import (Graph, Infeasible, brute_force, tarjan_solve)
+from dmst import (Graph, Infeasible, brute_force, gen_antilemon,
+                  gen_er_rooted, tarjan_solve)
 
 STRATEGIES = ("matrix", "heap", "sil")
 
@@ -115,3 +117,41 @@ def test_counters_expose_strategy_specific_work():
         r = solve(g)
         assert set(r.counters) == common | own[config], config
         assert r.counters["dsu_visits"] > 0
+
+
+def _digest(xs: list[int]) -> str:
+    return hashlib.sha256(",".join(map(str, xs)).encode()).hexdigest()[:16]
+
+
+_ANTILEMON = (300, "2afbb83db7a4fb5b", "6c7f3a3cc05a44c8",
+              {"picks": 599, "contractions": 299, "summed_cycle_length": 598,
+               "dsu_visits": 599})
+_ER = (47397, "94ff51d64930d764", "5312a5222b941d74",
+       {"picks": 2008, "contractions": 9, "summed_cycle_length": 158,
+        "dsu_visits": 6552})
+
+
+@pytest.mark.parametrize("make, strategy, want, own", [
+    (lambda: gen_antilemon(300), "matrix", _ANTILEMON,
+     {"cells_scanned": 90598}),
+    (lambda: gen_antilemon(300), "heap", _ANTILEMON, {"melds": 299}),
+    (lambda: gen_antilemon(300), "sil", _ANTILEMON,
+     {"queue_moves": 0, "list_merge_scan": 44850}),
+    (lambda: gen_er_rooted(2000, 8000, 100, 11), "matrix", _ER,
+     {"cells_scanned": 10852}),
+    (lambda: gen_er_rooted(2000, 8000, 100, 11), "heap", _ER, {"melds": 149}),
+    (lambda: gen_er_rooted(2000, 8000, 100, 11), "sil", _ER,
+     {"queue_moves": 597, "list_merge_scan": 17769}),
+], ids=["antilemon-300-matrix", "antilemon-300-heap", "antilemon-300-sil",
+        "er-2000-8000-matrix", "er-2000-8000-heap", "er-2000-8000-sil"])
+def test_golden_trace_and_counters(make, strategy, want, own):
+    # the trace and every counter on two fixed instances: a change to the
+    # queues must pick the same edges in the same order and do the same work
+    weight, picked, parents, common = want
+    g = make()
+    for debug in (False, True):
+        r = tarjan_solve(g, strategy, debug=debug)
+        assert r.total_weight == weight
+        assert _digest(r.picked) == picked
+        assert _digest(r.forest_parent) == parents
+        assert r.counters == {**common, **own}
