@@ -1,7 +1,7 @@
 """Command line front end: solve, bench, gen.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 infeasible instance,
-64 usage error.
+64 usage error or an instance the configuration refuses.
 """
 
 from __future__ import annotations
@@ -103,10 +103,16 @@ def _cmd_solve(args) -> int:
             return 64
         graph = dataclasses.replace(graph, root=args.root)
     try:
-        result = _make_solver(args.algo, graph).run()
+        solver = _make_solver(args.algo, graph)
+    except ValueError as exc:  # the configuration refuses the instance
+        print(f"dmst: {exc}", file=sys.stderr)
+        return 64
+    try:
+        result = solver.run()
     except Infeasible:
         print("no arborescence", file=sys.stderr)
         return 2
+    del solver  # free its state before reconstruction adds to the peak
     ids = reconstruct(result, build_leaf_map(result, graph), graph)
     lines = "".join(f"{eid}\n" for eid in sorted(ids))
     try:
@@ -130,16 +136,21 @@ def _bench_rows(graph: Graph, path: str, algo: str, reps: int, timeout):
     budget = "" if timeout is None else _fmt_ms(timeout)
     timed_out = [path, algo, graph.n, len(graph.w), "",
                  budget, budget, budget, budget, "timeout"]
+    refused = None
     for _ in range(reps):
         if timeout is not None and timeout <= 0:
             yield timed_out
             continue
         deadline = None if timeout is None else time.monotonic() + timeout
-        # no collection lands inside init or exec; teardown collects
+        # no collection lands inside init, exec or recon; teardown collects
         gc.disable()
         try:
             t0 = time.perf_counter()
-            solver = _make_solver(algo, graph, deadline)
+            try:
+                solver = _make_solver(algo, graph, deadline)
+            except ValueError as exc:  # the configuration refuses the instance
+                refused = exc
+                break
             t1 = time.perf_counter()
             weight, status = "", "ok"
             try:
@@ -149,12 +160,12 @@ def _bench_rows(graph: Graph, path: str, algo: str, reps: int, timeout):
             except Infeasible:
                 status = "infeasible"
             t2 = time.perf_counter()
+            if status == "ok":
+                ids = reconstruct(result, build_leaf_map(result, graph), graph)
+                weight = result.total_weight
+            t3 = time.perf_counter()
         finally:
             gc.enable()
-        if status == "ok":
-            ids = reconstruct(result, build_leaf_map(result, graph), graph)
-            weight = result.total_weight
-        t3 = time.perf_counter()
         # ggst's forest rings are cyclic garbage that only the collector
         # frees; collected here, not inside a later rep's clock
         solver = result = ids = None
@@ -163,6 +174,10 @@ def _bench_rows(graph: Graph, path: str, algo: str, reps: int, timeout):
         yield timed_out if status == "timeout" else [
             path, algo, graph.n, len(graph.w), weight, _fmt_ms(t1 - t0),
             _fmt_ms(t2 - t1), _fmt_ms(t3 - t2), _fmt_ms(t4 - t3), status]
+    if refused is not None:
+        print(f"dmst: {path}: {refused}", file=sys.stderr)
+        yield [path, algo, graph.n, len(graph.w), "",
+               "", "", "", "", "error"]
 
 
 def _cmd_bench(args, parser: _Parser) -> int:

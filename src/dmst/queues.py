@@ -1,222 +1,215 @@
 """Incoming-edge-set strategies for the contraction solver.
 
-Each queue owns the incoming edges of one super-vertex and supports four
-operations: insert, extract_min, add_constant, merge. A queue counts the
-work of the queues merged into it too; each class's ``counters`` sums those
-counts over a set of queues. Ties on equal cost
+One queue object holds the incoming edges of every super-vertex of a solve,
+slot v for representative v. All three are built as ``cls(n, org, rep)``,
+where ``rep`` is the solver's ContractionDSU ``parent`` list, and support
+insert(v, eid, cost), extract_min(v), add_constant(v, delta) and merge(a, b).
+The caller merges right after joining a's and b's DSU sets: b's edges fold
+into a's, the union lands in slot ``rep[a]`` and the other slot is emptied.
+``counters()`` reports the work of the whole solve. Ties on equal cost
 break toward the smaller edge id in every strategy so that all solvers
 produce the same deterministic traces.
 
 MatrixQueue   dense per-origin row, cheapest edge per origin, O(n) ops
 LazyHeapQueue skew heap with lazily propagated cost deltas, O(log n) ops
-SilQueue      binary heap + per-queue offset, smaller-into-larger merges
+SilQueue      binary heap + per-slot offset, smaller-into-larger merges
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional
+
+# a row is [None] * n, so n rows take up to 8 * n^2 bytes: 0.8 GB here
+MATRIX_MAX_N = 10_000
 
 
 class MatrixQueue:
-    """One row of per-origin best (cost, edge id) cells.
+    """Per super-vertex, one row of per-origin best (cost, edge id) cells.
 
-    The row is allocated on first insert. At most one entry per origin is
-    kept (the cheaper). ``resolve`` maps an origin vertex to its current
-    super-vertex; the default identity is what standalone use wants, the
-    solver passes its ContractionDSU find.
+    A row is allocated on its first insert. At most one entry per origin
+    super-vertex ``rep[org[eid]]`` is kept (the cheaper).
     """
 
-    __slots__ = ("n", "org", "resolve", "row", "occupied", "count", "cells_scanned")
+    __slots__ = ("n", "org", "rep", "row", "occupied", "count", "cells_scanned")
 
-    def __init__(self, n: int, org: list[int], resolve: Optional[Callable[[int], int]] = None):
+    def __init__(self, n: int, org: list[int], rep: list[int]):
+        if n > MATRIX_MAX_N:
+            raise ValueError(f"tarjan-matrix takes at most {MATRIX_MAX_N} "
+                             f"vertices, the instance has {n}")
         self.n = n
         self.org = org
-        self.resolve = resolve
-        self.row: Optional[list] = None
+        self.rep = rep
+        self.row: list = [None] * n
         # slots that transitioned None -> value; may hold stale (re-cleared)
         # entries, pruned during scans
-        self.occupied: list[int] = []
-        self.count = 0
+        self.occupied: list[list[int]] = [[] for _ in range(n)]
+        self.count = [0] * n
         self.cells_scanned = 0
 
-    @staticmethod
-    def counters(queues) -> dict:
-        return {"cells_scanned": sum(q.cells_scanned for q in queues)}
+    def counters(self) -> dict:
+        return {"cells_scanned": self.cells_scanned}
 
-    def _slot(self, eid: int) -> int:
-        o = self.org[eid]
-        return self.resolve(o) if self.resolve is not None else o
-
-    def insert(self, eid: int, cost: int) -> None:
-        if self.row is None:
-            self.row = [None] * self.n
-        s = self._slot(eid)
-        cell = self.row[s]
+    def insert(self, v: int, eid: int, cost: int) -> None:
+        row = self.row[v]
+        if row is None:
+            row = self.row[v] = [None] * self.n
+        s = self.rep[self.org[eid]]
+        cell = row[s]
         if cell is None:
-            self.row[s] = (cost, eid)
-            self.occupied.append(s)
-            self.count += 1
+            row[s] = (cost, eid)
+            self.occupied[v].append(s)
+            self.count[v] += 1
         elif (cost, eid) < cell:
-            self.row[s] = (cost, eid)
+            row[s] = (cost, eid)
 
-    def extract_min(self):
-        if self.count == 0:
-            return None
-        row = self.row
-        best = None
-        best_slot = -1
-        live = []
-        for s in self.occupied:
-            cell = row[s]
-            if cell is None:
-                continue
-            live.append(s)
-            if best is None or cell < best:
-                best = cell
-                best_slot = s
-        self.cells_scanned += len(self.occupied)
-        self.occupied = live
-        if best is None:
-            return None
-        row[best_slot] = None
-        self.count -= 1
-        return best[1], best[0]
+    def _prune(self, v: int):
+        """Slot v's row and its live slots, stale ones dropped; a scan
+        counts every occupied slot it passes."""
+        row, occupied = self.row[v], self.occupied[v]
+        self.cells_scanned += len(occupied)
+        live = self.occupied[v] = [s for s in occupied if row[s] is not None]
+        return row, live
 
-    def add_constant(self, delta: int) -> None:
-        if self.count == 0 or delta == 0:
+    def extract_min(self, v: int):
+        if self.count[v] == 0:
+            return None
+        row, live = self._prune(v)
+        s = min(live, key=row.__getitem__)
+        cost, eid = row[s]
+        row[s] = None
+        self.count[v] -= 1
+        return eid, cost
+
+    def add_constant(self, v: int, delta: int) -> None:
+        if self.count[v] == 0 or delta == 0:
             return
-        row = self.row
-        live = []
-        for s in self.occupied:
-            cell = row[s]
-            if cell is None:
-                continue
-            row[s] = (cell[0] + delta, cell[1])
-            live.append(s)
-        self.cells_scanned += len(self.occupied)
-        self.occupied = live
+        row, live = self._prune(v)
+        for s in live:
+            cost, eid = row[s]
+            row[s] = (cost + delta, eid)
 
-    def merge(self, other: "MatrixQueue") -> "MatrixQueue":
-        """Consume ``other``; per-origin elementwise minimum of current
-        costs. Source slots are re-resolved so entries from origins that
-        have since been contracted land in one cell."""
-        if other.count == 0:
-            other.row = None
-            other.occupied = []
-            self.cells_scanned += other.cells_scanned
-            return self
-        if self.row is None:
-            self.row = [None] * self.n
-        row = self.row
-        for s in other.occupied:
-            cell = other.row[s]
-            if cell is None:
-                continue
-            s2 = self._slot(cell[1])
-            mine = row[s2]
-            if mine is None:
-                row[s2] = cell
-                self.occupied.append(s2)
-                self.count += 1
-            elif cell < mine:
-                row[s2] = cell
-        self.cells_scanned += len(other.occupied) + other.cells_scanned
-        other.row = None
-        other.occupied = []
-        other.count = 0
-        return self
-
-
-class _HeapNode:
-    __slots__ = ("cost", "eid", "delta", "left", "right")
-
-    def __init__(self, cost: int, eid: int):
-        self.cost = cost
-        self.eid = eid
-        self.delta = 0
-        self.left: Optional[_HeapNode] = None
-        self.right: Optional[_HeapNode] = None
-
-
-def _flush(node: _HeapNode) -> None:
-    d = node.delta
-    if d:
-        l, r = node.left, node.right
-        if l is not None:
-            l.cost += d
-            l.delta += d
-        if r is not None:
-            r.cost += d
-            r.delta += d
-        node.delta = 0
-
-
-def _meld(x: Optional[_HeapNode], y: Optional[_HeapNode]) -> Optional[_HeapNode]:
-    # iterative skew-heap meld; recursion depth on these heaps is only
-    # amortized-logarithmic, not worst-case, so no call stack
-    if x is None:
-        return y
-    if y is None:
-        return x
-    _flush(x)
-    _flush(y)
-    if (y.cost, y.eid) < (x.cost, x.eid):
-        x, y = y, x
-    root = x
-    while True:
-        # invariant: x flushed, (x.cost,x.eid) <= y's, y flushed
-        pending = x.right
-        x.right = x.left
-        if pending is None:
-            x.left = y
-            return root
-        _flush(pending)
-        if (y.cost, y.eid) < (pending.cost, pending.eid):
-            pending, y = y, pending
-        x.left = pending
-        x = pending
+    def merge(self, a: int, b: int) -> None:
+        """Per-origin elementwise minimum of current costs, in a's row.
+        b's cells are filed under their origins' current representatives,
+        so entries from origins contracted since land in one cell."""
+        rows, occupied, count = self.row, self.occupied, self.count
+        if count[b]:
+            row = rows[a]
+            if row is None:
+                row = rows[a] = [None] * self.n
+            rep, org, mine = self.rep, self.org, occupied[a]
+            other = rows[b]
+            for s in occupied[b]:
+                cell = other[s]
+                if cell is None:
+                    continue
+                s2 = rep[org[cell[1]]]
+                have = row[s2]
+                if have is None:
+                    row[s2] = cell
+                    mine.append(s2)
+                    count[a] += 1
+                elif cell < have:
+                    row[s2] = cell
+            self.cells_scanned += len(occupied[b])
+        r = self.rep[a]
+        gone = b if r == a else a
+        rows[r], occupied[r], count[r] = rows[a], occupied[a], count[a]
+        rows[gone], occupied[gone], count[gone] = None, [], 0
 
 
 class LazyHeapQueue:
-    """Skew heap over (cost, edge id) with subtree-wide lazy deltas."""
+    """Skew heaps over (cost, edge id) with subtree-wide lazy deltas.
 
-    __slots__ = ("root", "melds")
+    The nodes are edge ids: ``cost``, ``delta``, ``left`` and ``right`` are
+    indexed by edge id, with -1 for no child, and ``root[v]`` is slot v's
+    root. Each edge is inserted at most once, so it lives in at most one
+    heap. ``melds`` counts merges.
+    """
 
-    def __init__(self):
-        self.root: Optional[_HeapNode] = None
+    __slots__ = ("rep", "root", "cost", "delta", "left", "right", "melds")
+
+    def __init__(self, n: int, org: list[int], rep: list[int]):
+        m = len(org)
+        self.rep = rep
+        self.root = [-1] * n
+        self.cost = [0] * m
+        self.delta = [0] * m
+        self.left = [-1] * m
+        self.right = [-1] * m
         self.melds = 0
 
-    @staticmethod
-    def counters(queues) -> dict:
-        return {"melds": sum(q.melds for q in queues)}
+    def counters(self) -> dict:
+        return {"melds": self.melds}
 
-    def insert(self, eid: int, cost: int) -> None:
-        self.root = _meld(self.root, _HeapNode(cost, eid))
+    def _meld(self, x: int, y: int) -> int:
+        # iterative skew-heap meld; recursion depth on these heaps is only
+        # amortized-logarithmic, not worst-case, so no call stack. A root's
+        # cost is current; each spine node's delta is pushed to its children
+        # before its links change.
+        if x < 0:
+            return y
+        if y < 0:
+            return x
+        cost, delta, left, right = self.cost, self.delta, self.left, self.right
+        if cost[y] < cost[x] or (cost[y] == cost[x] and y < x):
+            x, y = y, x
+        root = x
+        while True:
+            # invariant: (cost, id) of x <= y's, both current
+            d = delta[x]
+            if d:
+                c = left[x]
+                if c >= 0:
+                    cost[c] += d
+                    delta[c] += d
+                c = right[x]
+                if c >= 0:
+                    cost[c] += d
+                    delta[c] += d
+                delta[x] = 0
+            pending = right[x]
+            right[x] = left[x]
+            if pending < 0:
+                left[x] = y
+                return root
+            cp, cy = cost[pending], cost[y]
+            if cy < cp or (cy == cp and y < pending):
+                pending, y = y, pending
+            left[x] = pending
+            x = pending
 
-    def extract_min(self):
-        node = self.root
-        if node is None:
+    def insert(self, v: int, eid: int, cost: int) -> None:
+        self.cost[eid] = cost
+        self.root[v] = self._meld(self.root[v], eid)
+
+    def extract_min(self, v: int):
+        x = self.root[v]
+        if x < 0:
             return None
-        _flush(node)
-        self.root = _meld(node.left, node.right)
-        return node.eid, node.cost
+        # x's pending delta is owed to both children alike, so it does not
+        # change their order: meld them first, then add it to the result
+        self.root[v] = self._meld(self.left[x], self.right[x])
+        self.add_constant(v, self.delta[x])
+        return x, self.cost[x]
 
-    def add_constant(self, delta: int) -> None:
-        node = self.root
-        if node is not None and delta:
-            node.cost += delta
-            node.delta += delta
+    def add_constant(self, v: int, delta: int) -> None:
+        x = self.root[v]
+        if x >= 0 and delta:
+            self.cost[x] += delta
+            self.delta[x] += delta
 
-    def merge(self, other: "LazyHeapQueue") -> "LazyHeapQueue":
-        self.root = _meld(self.root, other.root)
-        self.melds += other.melds + 1
-        other.root = None
-        return self
+    def merge(self, a: int, b: int) -> None:
+        root = self.root
+        union = self._meld(root[a], root[b])
+        root[a] = root[b] = -1
+        root[self.rep[a]] = union
+        self.melds += 1
 
 
 class SilQueue:
-    """heapq of (cost - offset, edge id); add_constant bumps the offset.
+    """Per super-vertex, a heapq of (cost - offset, edge id); add_constant
+    bumps the slot's offset.
 
     Merge moves the smaller heap's elements into the larger, rebasing each
     stored key by the offset difference; ``moves`` counts elements moved
@@ -226,41 +219,45 @@ class SilQueue:
     quadratic.
     """
 
-    __slots__ = ("heap", "offset", "moves", "list_merge_scan")
+    __slots__ = ("rep", "heap", "offset", "moves", "list_merge_scan")
 
-    def __init__(self):
-        self.heap: list = []
-        self.offset = 0
+    def __init__(self, n: int, org: list[int], rep: list[int]):
+        self.rep = rep
+        self.heap: list[list] = [[] for _ in range(n)]
+        self.offset = [0] * n
         self.moves = 0
         self.list_merge_scan = 0
 
-    @staticmethod
-    def counters(queues) -> dict:
-        return {"queue_moves": sum(q.moves for q in queues),
-                "list_merge_scan": sum(q.list_merge_scan for q in queues)}
+    def counters(self) -> dict:
+        return {"queue_moves": self.moves,
+                "list_merge_scan": self.list_merge_scan}
 
-    def insert(self, eid: int, cost: int) -> None:
-        heapq.heappush(self.heap, (cost - self.offset, eid))
+    def insert(self, v: int, eid: int, cost: int) -> None:
+        heapq.heappush(self.heap[v], (cost - self.offset[v], eid))
 
-    def extract_min(self):
-        if not self.heap:
+    def extract_min(self, v: int):
+        heap = self.heap[v]
+        if not heap:
             return None
-        key, eid = heapq.heappop(self.heap)
-        return eid, key + self.offset
+        key, eid = heapq.heappop(heap)
+        return eid, key + self.offset[v]
 
-    def add_constant(self, delta: int) -> None:
-        self.offset += delta
+    def add_constant(self, v: int, delta: int) -> None:
+        self.offset[v] += delta
 
-    def merge(self, other: "SilQueue") -> "SilQueue":
-        self.list_merge_scan += len(self.heap) + len(other.heap) + other.list_merge_scan
-        self.moves += other.moves
-        if len(other.heap) > len(self.heap):
-            self.heap, other.heap = other.heap, self.heap
-            self.offset, other.offset = other.offset, self.offset
-        shift = other.offset - self.offset
-        heap = self.heap
-        for key, eid in other.heap:
-            heapq.heappush(heap, (key + shift, eid))
-        self.moves += len(other.heap)
-        other.heap = []
-        return self
+    def merge(self, a: int, b: int) -> None:
+        heaps, offset = self.heap, self.offset
+        big, small = heaps[a], heaps[b]
+        big_off, small_off = offset[a], offset[b]
+        self.list_merge_scan += len(big) + len(small)
+        if len(small) > len(big):
+            big, small = small, big
+            big_off, small_off = small_off, big_off
+        shift = small_off - big_off
+        for key, eid in small:
+            heapq.heappush(big, (key + shift, eid))
+        self.moves += len(small)
+        heaps[a] = heaps[b] = []
+        offset[a] = offset[b] = 0
+        r = self.rep[a]
+        heaps[r], offset[r] = big, big_off

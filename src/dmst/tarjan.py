@@ -19,7 +19,7 @@ from .graph import Graph
 from .queues import LazyHeapQueue, MatrixQueue, SilQueue
 from .recon import PickLog, SolveResult
 
-STRATEGIES = ("matrix", "heap", "sil")
+STRATEGIES = {"matrix": MatrixQueue, "heap": LazyHeapQueue, "sil": SilQueue}
 
 
 class TarjanSolver:
@@ -37,23 +37,14 @@ class TarjanSolver:
         n = graph.n
         self.cdsu = ContractionDSU(n)
         self.wdsu = PlainDSU(n)
-        self.queue_of: list = [None] * n
+        self.queues = STRATEGIES[strategy](n, graph.org, self.cdsu.parent)
+        insert = self.queues.insert
         root = graph.root
-        for v in range(n):
-            if v != root:
-                self.queue_of[v] = self._new_queue()
         for eid, (u, v, w) in enumerate(zip(graph.org, graph.tgt, graph.w)):
             # input self-loops can never be chosen; edges into the root are
             # never extracted either
             if v != root and u != v:
-                self.queue_of[v].insert(eid, w)
-
-    def _new_queue(self):
-        if self.strategy == "matrix":
-            return MatrixQueue(self.graph.n, self.graph.org, self.cdsu.find)
-        if self.strategy == "heap":
-            return LazyHeapQueue()
-        return SilQueue()
+                insert(v, eid, w)
 
     def run(self) -> SolveResult:
         graph = self.graph
@@ -61,15 +52,15 @@ class TarjanSolver:
         cdsu, wdsu = self.cdsu, self.wdsu
         parent, wparent = cdsu.parent, wdsu.parent
         org = graph.org
-        queue_of = self.queue_of
+        queues = self.queues
+        extract_min = queues.extract_min
         log = PickLog(graph, self.deadline, self.debug)
 
         stack = [v for v in range(n) if v != root]
         while stack:
             v = stack.pop()
-            q = queue_of[v]
             while True:
-                item = q.extract_min()
+                item = extract_min(v)
                 if item is None:
                     raise Infeasible
                 eid, cost = item
@@ -89,18 +80,16 @@ class TarjanSolver:
                 cur = parent[org[log.edge_of(cur)]]
             for rep, pc in zip(members, log.shift(members, cdsu)):
                 if pc:
-                    queue_of[rep].add_constant(-pc)
-            merged_rep = members[0]
-            merged_q = queue_of[members[0]]
+                    queues.add_constant(rep, -pc)
+            merged = members[0]
             for rep in members[1:]:
-                merged_rep = cdsu.join(merged_rep, rep)
-                merged_q = merged_q.merge(queue_of[rep])
-            queue_of[merged_rep] = merged_q
-            log.contract(members, merged_rep)
-            stack.append(merged_rep)
+                joined = cdsu.join(merged, rep)
+                queues.merge(merged, rep)
+                merged = joined
+            log.contract(members, merged)
+            stack.append(merged)
 
-        live = [queue_of[v] for v in range(n) if v != root and parent[v] == v]
-        counters = type(live[0]).counters(live) if live else {}
+        counters = queues.counters()
         counters["dsu_visits"] = cdsu.visits + wdsu.visits
         return log.result(counters)
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import G_BAD_TEXT, G_TRI_TEXT
-from dmst import cli, gen_antilemon, parse_edge_list, serialize
+from dmst import Graph, cli, gen_antilemon, parse_edge_list, serialize
 
 
 def run_cli(argv):
@@ -53,6 +53,21 @@ def test_solve_infeasible(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "no arborescence" in captured.err
+
+
+# more vertices than tarjan-matrix takes; with no edges, no row is allocated
+MATRIX_TOO_BIG = serialize(Graph(10_001, 0, [], [], []))
+
+
+def test_solve_refuses_matrix_above_its_vertex_limit(tmp_path, capsys):
+    inp = tmp_path / "big.txt"
+    inp.write_text(MATRIX_TOO_BIG)
+    code = run_cli(["solve", "--algo", "tarjan-matrix", "--in", str(inp),
+                    "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.err.startswith("dmst: ")
+    assert "10000" in captured.err
 
 
 def test_solve_unknown_algorithm_is_usage_error(tmp_path, capsys):
@@ -217,6 +232,40 @@ def test_bench_gc_off_in_init_and_exec_only(monkeypatch):
         assert rows[0][9] == status
         assert gc.isenabled(), status
     assert seen == [False, False] * 3
+
+
+def test_bench_gc_stays_off_through_recon(monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return reconstruct(*args, **kwargs)
+
+    reconstruct = cli.reconstruct
+    monkeypatch.setattr(cli, "reconstruct", spy)
+    for algo in ("ggst", "tarjan-heap"):
+        rows = list(cli._bench_rows(gen_antilemon(50), "anti.txt", algo, 2,
+                                    None))
+        assert [row[9] for row in rows] == ["ok", "ok"]
+        assert gc.isenabled(), algo
+    assert seen == [False] * 4
+
+
+def test_bench_records_matrix_refusal_and_goes_on(tmp_path, capsys):
+    inp = tmp_path / "big.txt"
+    inp.write_text(MATRIX_TOO_BIG)
+    out = tmp_path / "bench.csv"
+    code = run_cli(["bench", "--algos", "tarjan-matrix,tarjan-sil",
+                    "--in", str(inp), "--reps", "2", "--csv", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "10000" in captured.err
+    rows = read_rows(out)[1:]
+    assert [(r[1], r[9]) for r in rows] == [
+        ("tarjan-matrix", "error"), ("tarjan-sil", "infeasible"),
+        ("tarjan-sil", "infeasible")]
+    assert rows[0][4:9] == [""] * 5
+    assert gc.isenabled()
 
 
 def test_bench_timeout_zero(tmp_path, capsys):

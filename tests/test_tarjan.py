@@ -1,4 +1,3 @@
-import hashlib
 import random
 from dataclasses import replace
 
@@ -7,6 +6,7 @@ import pytest
 from conftest import SOLVERS, random_instance
 from dmst import (Graph, Infeasible, brute_force, gen_antilemon,
                   gen_er_rooted, tarjan_solve)
+from test_ggst import _digest
 
 STRATEGIES = ("matrix", "heap", "sil")
 
@@ -106,21 +106,18 @@ def test_weight_shift_covariance():
 
 
 def test_counters_expose_strategy_specific_work():
-    from dmst import gen_er_rooted
-    g = gen_er_rooted(8, 16, 20, 17)
+    from dmst import parse_edge_list
     common = {"picks", "contractions", "summed_cycle_length", "dsu_visits"}
     own = {"tarjan-sil": {"queue_moves", "list_merge_scan"},
            "tarjan-heap": {"melds"},
            "tarjan-matrix": {"cells_scanned"},
            "ggst": {"af_queries", "af_deletes", "af_merges"}}
-    for config, solve in SOLVERS.items():
-        r = solve(g)
-        assert set(r.counters) == common | own[config], config
-        assert r.counters["dsu_visits"] > 0
-
-
-def _digest(xs: list[int]) -> str:
-    return hashlib.sha256(",".join(map(str, xs)).encode()).hexdigest()[:16]
+    # the key set does not depend on the instance, even one with no work
+    for g in (gen_er_rooted(8, 16, 20, 17), parse_edge_list("1 0 0\n")):
+        for config, solve in SOLVERS.items():
+            r = solve(g)
+            assert set(r.counters) == common | own[config], (g.n, config)
+            assert (r.counters["dsu_visits"] > 0) == (g.n > 1)
 
 
 _ANTILEMON = (300, "2afbb83db7a4fb5b", "6c7f3a3cc05a44c8",
