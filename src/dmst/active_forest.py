@@ -1,19 +1,27 @@
 """Fibonacci-style forest of active incoming edges, one heap per super-vertex.
 
-Nodes hold edge ids; keys are always computed live as stored weight plus the
-ContractionDSU's accumulated offset of the edge's target, so bulk cost shifts
-never touch the forest. There is no decrease-key and hence no marks or
-cascading cuts: the only structural moves are insert, the constant-time
-replace (detach, re-key, splice into the new home's root list with the
-subtree riding along), delete (children return to their own home heaps), the
-root-list concatenation merge, and the consolidating query.
+Each origin owns at most one node, the slot of its active edge, and the
+origin stays a representative while that node lives (a cycle member's node
+is deleted before the join). So the forest is a set of int lists of length
+n indexed by origin: ``eid`` (-1 where the origin has no active edge),
+``parent`` and ``child`` (-1 for none), the circular sibling ring ``left`` /
+``right``, and ``rank``, the child count. ``root_ring[rep]`` is an entry
+into the root list of representative rep's heap, -1 when it is empty.
+
+Keys are always computed live as stored weight plus the ContractionDSU's
+accumulated offset of the edge's target, so bulk cost shifts never touch the
+forest. A query keys each root by one int, ``cost * m + eid`` with m the
+edge count, which orders like ``(cost, eid)`` and gives the cost back as
+``key // m``. There is no decrease-key and hence no marks or cascading cuts:
+the only structural moves are insert, the constant-time replace (detach,
+re-key, splice into the new home's root list with the subtree riding
+along), delete (children return to their own home heaps), the root-list
+concatenation merge, and the consolidating query. Without cascading cuts a
+rank is bounded only by n - 1, not by O(log n), so the query's rank buckets
+are a reusable list of length n.
 
 A node's home heap is the heap of its target's representative,
-``cdsu.parent[target]``. Root lists and active nodes are int-indexed lists
-of length n: ``root_ring[rep]`` is an entry into the root list of
-representative rep's heap, ``active[origin]`` the node of origin's active
-edge, None where there is none. Three invariants, checked by the debug
-walk:
+``cdsu.parent[target]``. Three invariants, checked by the debug walk:
   (1) every tree root lies in the root list of its home heap;
   (2) along a parent-child link the parent's home lies at least as close to
       the growth path head as the child's;
@@ -23,44 +31,7 @@ walk:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .dsu import ContractionDSU
-
-
-class ForestNode:
-    __slots__ = ("eid", "owner", "parent", "child", "left", "right", "rank", "key")
-
-    def __init__(self, eid: int, owner: int):
-        self.eid = eid
-        self.owner = owner
-        self.parent: Optional[ForestNode] = None
-        self.child: Optional[ForestNode] = None
-        self.left = self
-        self.right = self
-        self.rank = 0
-        self.key = None  # transient, valid only inside query_min
-
-
-def _ring_nodes(entry: ForestNode) -> list[ForestNode]:
-    out = [entry]
-    nd = entry.right
-    while nd is not entry:
-        out.append(nd)
-        nd = nd.right
-    return out
-
-
-def _unlink(node: ForestNode) -> Optional[ForestNode]:
-    """Remove node from its circular sibling ring; returns any remaining
-    ring member, or None if the ring is now empty."""
-    r = node.right
-    if r is node:
-        return None
-    node.left.right = r
-    r.left = node.left
-    node.left = node.right = node
-    return r
 
 
 class ActiveForest:
@@ -69,8 +40,16 @@ class ActiveForest:
         self.tgt = tgt
         self.w = w
         n = len(cdsu.parent)
-        self.root_ring: list[Optional[ForestNode]] = [None] * n
-        self.active: list[Optional[ForestNode]] = [None] * n
+        self.eid = [-1] * n
+        self.parent = [-1] * n
+        self.child = [-1] * n
+        self.left = [0] * n
+        self.right = [0] * n
+        self.rank = [0] * n
+        self.root_ring = [-1] * n
+        # query_min's rank buckets (root, key), -1 between queries
+        self._bucket = [-1] * n
+        self._bkey = [0] * n
         self.queries = 0
         self.deletes = 0
         self.merges = 0
@@ -79,87 +58,131 @@ class ActiveForest:
         return {"af_queries": self.queries, "af_deletes": self.deletes,
                 "af_merges": self.merges}
 
-    # -- ring plumbing -------------------------------------------------
-
-    def _splice_root(self, node: ForestNode, home: int) -> None:
-        entry = self.root_ring[home]
-        if entry is None:
-            node.left = node.right = node
-            self.root_ring[home] = node
-        else:
-            node.left = entry.left
-            node.right = entry
-            entry.left.right = node
-            entry.left = node
-
-    def _detach(self, node: ForestNode) -> None:
-        """Unhook node from its parent's child ring, or from its home
-        heap's root list. The subtree below stays attached."""
-        parent = node.parent
-        if parent is not None:
-            rem = _unlink(node)
-            if parent.child is node:
-                parent.child = rem
-            parent.rank -= 1
-            node.parent = None
-            return
-        home = self.cdsu.parent[self.tgt[node.eid]]
-        rem = _unlink(node)
-        if self.root_ring[home] is node:
-            self.root_ring[home] = rem
-
     # -- public operations ---------------------------------------------
-    # insert and replace take the edge's home heap, parent[target of eid]
+    # insert and replace take the edge's home heap, parent[target of eid].
+    # Root-list splices are written out inline on these hot paths; replace
+    # also unhooks inline what _detach unhooks for delete.
 
     def insert(self, eid: int, origin: int, home: int) -> None:
-        if self.active[origin] is not None:
+        if self.eid[origin] >= 0:
             raise ValueError(f"origin {origin} already has an active edge")
-        node = ForestNode(eid, origin)
-        self.active[origin] = node
-        self._splice_root(node, home)
+        self.eid[origin] = eid
+        left, right = self.left, self.right
+        entry = self.root_ring[home]
+        if entry < 0:
+            left[origin] = right[origin] = origin
+            self.root_ring[home] = origin
+        else:
+            tail = left[entry]
+            left[origin] = tail
+            right[origin] = entry
+            right[tail] = origin
+            left[entry] = origin
 
     def replace(self, origin: int, new_eid: int, home: int) -> None:
-        node = self.active[origin]
-        if node is None:
+        eid = self.eid
+        old = eid[origin]
+        if old < 0:
             raise ValueError(f"origin {origin} has no active edge")
-        self._detach(node)
-        node.eid = new_eid
-        self._splice_root(node, home)
+        left, right, root_ring = self.left, self.right, self.root_ring
+        r = right[origin]
+        if r != origin:
+            lx = left[origin]
+            right[lx] = r
+            left[r] = lx
+        else:
+            r = -1
+        p = self.parent[origin]
+        if p >= 0:
+            if self.child[p] == origin:
+                self.child[p] = r
+            self.rank[p] -= 1
+            self.parent[origin] = -1
+        else:
+            old_home = self.cdsu.parent[self.tgt[old]]
+            if root_ring[old_home] == origin:
+                root_ring[old_home] = r
+        eid[origin] = new_eid
+        entry = root_ring[home]
+        if entry < 0:
+            left[origin] = right[origin] = origin
+            root_ring[home] = origin
+        else:
+            tail = left[entry]
+            left[origin] = tail
+            right[origin] = entry
+            right[tail] = origin
+            left[entry] = origin
+
+    def _detach(self, x: int) -> None:
+        """Unhook x from its parent's child ring, or from its home heap's
+        root list. The subtree below stays attached."""
+        left, right = self.left, self.right
+        r = right[x]
+        if r != x:
+            lx = left[x]
+            right[lx] = r
+            left[r] = lx
+        else:
+            r = -1
+        p = self.parent[x]
+        if p >= 0:
+            if self.child[p] == x:
+                self.child[p] = r
+            self.rank[p] -= 1
+            self.parent[x] = -1
+            return
+        home = self.cdsu.parent[self.tgt[self.eid[x]]]
+        if self.root_ring[home] == x:
+            self.root_ring[home] = r
 
     def delete(self, origin: int) -> None:
-        node = self.active[origin]
-        if node is None:
+        if self.eid[origin] < 0:
             raise ValueError(f"origin {origin} has no active edge")
-        self.active[origin] = None
-        self._detach(node)
+        self._detach(origin)
+        self.eid[origin] = -1
         self.deletes += 1
-        c = node.child
-        if c is None:
+        c = self.child[origin]
+        if c < 0:
             return
-        node.child = None
-        node.rank = 0
-        parent = self.cdsu.parent
-        tgt = self.tgt
-        for kid in _ring_nodes(c):
-            kid.parent = None
-            kid.left = kid.right = kid
-            self._splice_root(kid, parent[tgt[kid.eid]])
+        self.child[origin] = -1
+        self.rank[origin] = 0
+        eid, up, left, right = self.eid, self.parent, self.left, self.right
+        rep, tgt, root_ring = self.cdsu.parent, self.tgt, self.root_ring
+        x = c
+        while True:
+            nxt = right[x]
+            up[x] = -1
+            home = rep[tgt[eid[x]]]
+            entry = root_ring[home]
+            if entry < 0:
+                left[x] = right[x] = x
+                root_ring[home] = x
+            else:
+                tail = left[entry]
+                left[x] = tail
+                right[x] = entry
+                right[tail] = x
+                left[entry] = x
+            if nxt == c:
+                return
+            x = nxt
 
     def merge_front(self, a: int, b: int) -> None:
         """Concatenate the root lists of the two just-joined super-vertices
         under the surviving representative. a and b are the pre-join
         representatives; the caller has already joined them in the DSU."""
-        root_ring = self.root_ring
+        root_ring, left, right = self.root_ring, self.left, self.right
         ra, rb = root_ring[a], root_ring[b]
-        root_ring[a] = root_ring[b] = None
+        root_ring[a] = root_ring[b] = -1
         self.merges += 1
-        if ra is not None and rb is not None:
-            ta, tb = ra.left, rb.left
-            ta.right = rb
-            rb.left = ta
-            tb.right = ra
-            ra.left = tb
-        root_ring[self.cdsu.parent[a]] = rb if ra is None else ra
+        if ra >= 0 and rb >= 0:
+            ta, tb = left[ra], left[rb]
+            right[ta] = rb
+            left[rb] = ta
+            right[tb] = ra
+            left[ra] = tb
+        root_ring[self.cdsu.parent[a]] = rb if ra < 0 else ra
 
     def query_min(self, head: int):
         """Minimum-cost active edge into the head's heap, as a tuple
@@ -169,90 +192,135 @@ class ActiveForest:
         root that no longer belongs to this home heap.
         """
         self.queries += 1
-        nxt = self.root_ring[head]
-        if nxt is None:
+        root_ring = self.root_ring
+        x = root_ring[head]
+        if x < 0:
             return None
-        nxt.left.right = None  # open the ring: the walk ends past its tail
-        parent, off = self.cdsu.parent, self.cdsu.off
-        tgt = self.tgt
-        w = self.w
-        buckets: dict[int, ForestNode] = {}
-        while nxt is not None:
-            nd, nxt = nxt, nxt.right
-            nd.left = nd.right = nd
-            eid = nd.eid
-            t = tgt[eid]
-            rep = parent[t]
-            if rep != head:
-                self._splice_root(nd, rep)
-                continue
-            pending = off[t] if rep == t else off[t] + off[rep]
-            nd.key = (w[eid] + pending, eid)
-            r = nd.rank
-            while r in buckets:
-                other = buckets.pop(r)
-                if other.key < nd.key:
-                    nd, other = other, nd
-                # larger key becomes a child of the smaller
-                other.parent = nd
-                c = nd.child
-                if c is None:
-                    other.left = other.right = other
-                    nd.child = other
+        root_ring[head] = -1
+        eid, up, child = self.eid, self.parent, self.child
+        left, right, rank = self.left, self.right, self.rank
+        bucket, bkey = self._bucket, self._bkey
+        rep, off = self.cdsu.parent, self.cdsu.off
+        tgt, w = self.tgt, self.w
+        m = len(w)
+        right[left[x]] = -1  # open the ring: the walk ends past its tail
+        filled = []  # ranks whose bucket was set, to collect and reset
+        while x >= 0:
+            nd = x
+            x = right[nd]
+            e = eid[nd]
+            t = tgt[e]
+            home = rep[t]
+            if home != head:
+                entry = root_ring[home]
+                if entry < 0:
+                    left[nd] = right[nd] = nd
+                    root_ring[home] = nd
                 else:
-                    other.left = c.left
-                    other.right = c
-                    c.left.right = other
-                    c.left = other
-                nd.rank = r + 1
+                    tail = left[entry]
+                    left[nd] = tail
+                    right[nd] = entry
+                    right[tail] = nd
+                    left[entry] = nd
+                continue
+            key = (w[e] + (off[t] if home == t else off[t] + off[home])) * m + e
+            r = rank[nd]
+            other = bucket[r]
+            while other >= 0:
+                bucket[r] = -1
+                okey = bkey[r]
+                if okey < key:
+                    nd, other = other, nd
+                    key = okey
+                # the larger key becomes a child of the smaller
+                up[other] = nd
+                c = child[nd]
+                if c < 0:
+                    left[other] = right[other] = other
+                    child[nd] = other
+                else:
+                    tail = left[c]
+                    left[other] = tail
+                    right[other] = c
+                    right[tail] = other
+                    left[c] = other
                 r += 1
-            buckets[r] = nd
-        self.root_ring[head] = None
-        if not buckets:
+                rank[nd] = r
+                other = bucket[r]
+            bucket[r] = nd
+            bkey[r] = key
+            filled.append(r)
+        best = first = prev = -1
+        best_key = 0
+        for r in filled:
+            nd = bucket[r]
+            if nd < 0:
+                continue
+            bucket[r] = -1
+            key = bkey[r]
+            if best < 0 or key < best_key:
+                best, best_key = nd, key
+            if prev < 0:
+                first = nd
+            else:
+                right[prev] = nd
+                left[nd] = prev
+            prev = nd
+        if best < 0:
             return None
-        best = None
-        for nd in buckets.values():
-            self._splice_root(nd, head)
-            if best is None or nd.key < best.key:
-                best = nd
-        return best.owner, best.eid, best.key[0]
+        right[prev] = first
+        left[first] = prev
+        root_ring[head] = first
+        return best, eid[best], best_key // m
 
     # -- debug walk ------------------------------------------------------
+
+    def _ring(self, entry: int) -> list[int]:
+        out = [entry]
+        x = self.right[entry]
+        while x != entry:
+            assert self.left[x] == out[-1], "sibling ring links disagree"
+            out.append(x)
+            x = self.right[x]
+        assert self.left[entry] == out[-1], "sibling ring links disagree"
+        return out
 
     def check_invariants(self, pos: dict[int, int]) -> None:
         """Full-forest walk asserting invariants (1)-(3). ``pos`` maps a
         super-vertex representative to its growth path position; greater
         means closer to the head."""
         cdsu = self.cdsu
-        tgt, w = self.tgt, self.w
+        tgt, w, eid = self.tgt, self.w, self.eid
         seen = 0
         for ring_rep, entry in enumerate(self.root_ring):
-            if entry is None:
+            if entry < 0:
                 continue
             assert cdsu.parent[ring_rep] == ring_rep, "ring keyed by non-representative"
-            for root in _ring_nodes(entry):
-                assert root.parent is None
-                home, _ = cdsu.find_offset(tgt[root.eid])
+            for root in self._ring(entry):
+                assert self.parent[root] < 0
+                home, _ = cdsu.find_offset(tgt[eid[root]])
                 assert home == ring_rep, "root outside its home heap"  # (1)
                 stack = [root]
                 while stack:
-                    node = stack.pop()
+                    x = stack.pop()
+                    assert eid[x] >= 0, "forest holds an origin without an edge"
                     seen += 1
-                    n_home, n_pend = cdsu.find_offset(tgt[node.eid])
-                    c = node.child
-                    if c is None:
-                        assert node.rank == 0
+                    n_home, n_pend = cdsu.find_offset(tgt[eid[x]])
+                    c = self.child[x]
+                    if c < 0:
+                        assert self.rank[x] == 0
                         continue
-                    kids = _ring_nodes(c)
-                    assert len(kids) == node.rank, "rank is not the child count"
-                    n_key = (w[node.eid] + n_pend, node.eid)
+                    kids = self._ring(c)
+                    assert len(kids) == self.rank[x], "rank is not the child count"
+                    n_key = (w[eid[x]] + n_pend, eid[x])
                     for kid in kids:
-                        assert kid.parent is node
-                        k_home, k_pend = cdsu.find_offset(tgt[kid.eid])
+                        assert self.parent[kid] == x
+                        k_home, k_pend = cdsu.find_offset(tgt[eid[kid]])
                         assert pos[n_home] >= pos[k_home], "child outranks parent"  # (2)
                         if n_home == ring_rep and k_home == ring_rep:
-                            k_key = (w[kid.eid] + k_pend, kid.eid)
+                            k_key = (w[eid[kid]] + k_pend, eid[kid])
                             assert n_key < k_key, "heap order violated in home heap"  # (3)
                         stack.append(kid)
-        owners = sum(nd is not None for nd in self.active)
+        owners = sum(e >= 0 for e in eid)
         assert seen == owners, "forest node count != active owners"
+        assert all(b < 0 for b in self._bucket), "rank bucket left set"

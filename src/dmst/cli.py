@@ -166,8 +166,8 @@ def _bench_rows(graph: Graph, path: str, algo: str, reps: int, timeout):
             t3 = time.perf_counter()
         finally:
             gc.enable()
-        # ggst's forest rings are cyclic garbage that only the collector
-        # frees; collected here, not inside a later rep's clock
+        # the collections deferred while gc was off run here, inside
+        # teardown's clock, not at some allocation in a later rep
         solver = result = ids = None
         gc.collect()
         t4 = time.perf_counter()

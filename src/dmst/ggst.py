@@ -151,7 +151,7 @@ class GgstSolver:
                     for e2 in el:
                         in_exit[e2] = 0
                     exit_[r] = []
-                    if af.active[r] is not None:
+                    if af.eid[r] >= 0:
                         af.delete(r)
                 mem_set = set(members)
                 for r in members:

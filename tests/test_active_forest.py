@@ -3,7 +3,6 @@ import random
 import pytest
 
 from dmst import ActiveForest, ContractionDSU
-from dmst.active_forest import _ring_nodes
 
 
 class Rig:
@@ -46,6 +45,16 @@ class Rig:
 
     def replace(self, origin: int, eid: int) -> None:
         self.af.replace(origin, eid, self.cdsu.find(self.tgt[eid]))
+
+    def ring(self, entry: int) -> list[int]:
+        """The origins in the sibling ring entered at entry, in ring
+        order; pass ``af.root_ring[rep]`` or ``af.child[x]``."""
+        if entry < 0:
+            return []
+        out = [entry]
+        while self.af.right[out[-1]] != entry:
+            out.append(self.af.right[out[-1]])
+        return out
 
     def cost(self, eid: int) -> int:
         return self.w[eid] + self.cdsu.find_offset(self.tgt[eid])[1]
@@ -216,10 +225,43 @@ def test_consolidation_leaves_unique_ranks():
     for i, c in enumerate((5, 3, 9, 1, 7, 2, 8)):
         rig.insert(rig.add_edge(20 + i, h, c), 20 + i)
     assert rig.af.query_min(h)[2] == 1
-    roots = _ring_nodes(rig.af.root_ring[rig.cdsu.find(h)])
-    ranks = [nd.rank for nd in roots]
+    roots = rig.ring(rig.af.root_ring[rig.cdsu.find(h)])
+    ranks = [rig.af.rank[x] for x in roots]
     assert len(ranks) == len(set(ranks))
     rig.af.check_invariants(rig.pos)
+
+
+def test_rank_outgrows_log_n():
+    # with no cascading cuts, deleting grandchildren thins the children but
+    # leaves the root's rank, so a rank can pass any O(log n) bound; the
+    # query's rank buckets must still have room for it
+    cap = 255
+    limit = 2 * cap.bit_length() + 2
+    rig = Rig(cap)
+    h = rig.extend()
+    af = rig.af
+    top = 0
+    while top <= limit:
+        # refill every free origin, dearer than all live edges, and link
+        for o in range(cap):
+            if af.eid[o] < 0:
+                eid = rig.add_edge(o, h, len(rig.w))
+                rig.insert(eid, o)
+                rig.active[o] = eid
+        af.query_min(h)
+        roots = rig.ring(af.root_ring[h])
+        top = max(af.rank[x] for x in roots)
+        # thin: delete every grandchild's subtree, deepest first
+        for x in roots:
+            for c in rig.ring(af.child[x]):
+                doomed = rig.ring(af.child[c])
+                for d in doomed:
+                    doomed.extend(rig.ring(af.child[d]))
+                for d in reversed(doomed):
+                    af.delete(d)
+                    del rig.active[d]
+    assert af.query_min(h) == rig.scan_min(h)
+    af.check_invariants(rig.pos)
 
 
 def run_af_sequence(seed: int, nops: int, check_every_op: bool = True) -> None:
@@ -250,7 +292,7 @@ def run_af_sequence(seed: int, nops: int, check_every_op: bool = True) -> None:
                 # moving a subtree carrier between heaps without the solver's
                 # contraction-time fold can strand a cheaper child under a
                 # dearer parent once homes reunify, so only leaves move here
-                leaf = rig.af.active[o].child is None
+                leaf = rig.af.child[o] < 0
                 if closer and leaf and rng.random() < 0.7:
                     t = rng.choice(closer)
                     eid = rig.add_edge(o, t, rng.randint(-50, 50))

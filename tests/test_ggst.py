@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -131,3 +132,16 @@ def test_golden_trace_and_counters(make, want):
     assert _digest(r.forest_parent) == parents
     assert {k: r.counters[k] for k in counters} == counters
     assert r.counters["dsu_visits"] <= max_visits
+
+
+def test_solve_leaves_no_cyclic_garbage():
+    # the forest is int lists, so a solve leaves nothing that only the
+    # cycle collector could free
+    for g in (gen_antilemon(300), gen_er_rooted(500, 2000, 50, 5)):
+        gc.collect()
+        gc.disable()
+        try:
+            ggst_solve(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
