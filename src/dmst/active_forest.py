@@ -25,8 +25,12 @@ A node's home heap is the heap of its target's representative,
   (1) every tree root lies in the root list of its home heap;
   (2) along a parent-child link the parent's home lies at least as close to
       the growth path head as the child's;
-  (3) heap order on (current cost, edge id) holds between parent and child
-      whenever both are in their home heap.
+  (3) a parent costs at most its child whenever both share a home heap,
+      which is all query_min needs to look at roots only. Edge ids may
+      break the order: replace carries a subtree along to the origin's new
+      edge in a newer home, and the contraction joining both homes keeps
+      the origin's cheapest edge into them, newest target on a tie, so an
+      equal-cost parent can hold the larger edge id.
 """
 
 from __future__ import annotations
@@ -285,10 +289,11 @@ class ActiveForest:
         assert self.left[entry] == out[-1], "sibling ring links disagree"
         return out
 
-    def check_invariants(self, pos: dict[int, int]) -> None:
-        """Full-forest walk asserting invariants (1)-(3). ``pos`` maps a
-        super-vertex representative to its growth path position; greater
-        means closer to the head."""
+    def check_invariants(self, path_index) -> None:
+        """Full-forest walk asserting invariants (1)-(3). ``path_index``
+        maps a super-vertex representative to its growth path position,
+        greater meaning closer to the head; vertices off the path map
+        below every path position."""
         cdsu = self.cdsu
         tgt, w, eid = self.tgt, self.w, self.eid
         seen = 0
@@ -312,14 +317,15 @@ class ActiveForest:
                         continue
                     kids = self._ring(c)
                     assert len(kids) == self.rank[x], "rank is not the child count"
-                    n_key = (w[eid[x]] + n_pend, eid[x])
+                    n_cost = w[eid[x]] + n_pend
                     for kid in kids:
                         assert self.parent[kid] == x
                         k_home, k_pend = cdsu.find_offset(tgt[eid[kid]])
-                        assert pos[n_home] >= pos[k_home], "child outranks parent"  # (2)
-                        if n_home == ring_rep and k_home == ring_rep:
-                            k_key = (w[eid[kid]] + k_pend, eid[kid])
-                            assert n_key < k_key, "heap order violated in home heap"  # (3)
+                        assert path_index[n_home] >= path_index[k_home], \
+                            "child outranks parent"  # (2)
+                        if n_home == k_home:
+                            assert n_cost <= w[eid[kid]] + k_pend, \
+                                "heap order violated in home heap"  # (3)
                         stack.append(kid)
         owners = sum(e >= 0 for e in eid)
         assert seen == owners, "forest node count != active owners"

@@ -71,10 +71,11 @@ def _build_parser() -> _Parser:
 
 
 def _read_instance(path: str) -> Graph:
-    if path == "-":
-        return parse_edge_list(sys.stdin.read())
     try:
-        text = Path(path).read_text(encoding="ascii")
+        if path == "-":
+            text = sys.stdin.buffer.read().decode("ascii")
+        else:
+            text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
         line = exc.object[:exc.start].count(b"\n") + 1
         raise ParseError(f"non-ASCII byte, line {line}") from None

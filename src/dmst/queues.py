@@ -7,8 +7,9 @@ insert(v, eid, cost), extract_min(v), add_constant(v, delta) and merge(a, b).
 The caller merges right after joining a's and b's DSU sets: b's edges fold
 into a's, the union lands in slot ``rep[a]`` and the other slot is emptied.
 ``counters()`` reports the work of the whole solve. Ties on equal cost
-break toward the smaller edge id in every strategy so that all solvers
-produce the same deterministic traces.
+break toward the smaller edge id in every strategy, so the three strategies
+produce identical traces. ggst's traces can differ from them: its choice
+among equal-cost edges depends on the shape of its active forest.
 
 MatrixQueue   dense per-origin row, cheapest edge per origin, O(n) ops
 LazyHeapQueue skew heap with lazily propagated cost deltas, O(log n) ops

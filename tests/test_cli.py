@@ -1,7 +1,9 @@
 import csv
 import gc
+import io
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -106,6 +108,17 @@ def test_solve_non_ascii_is_parse_error(tmp_path, capsys):
     assert "non-ASCII byte, line 2" in captured.err
 
 
+def test_solve_non_ascii_stdin_is_parse_error(tmp_path, capsys, monkeypatch):
+    # a full-width digit one would parse as 1 if stdin were decoded as UTF-8
+    stdin = io.TextIOWrapper(io.BytesIO("2 1 0\n0 1 \uff11\n".encode()))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code = run_cli(["solve", "--algo", "ggst", "--in", "-",
+                    "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "non-ASCII byte, line 2" in captured.err
+
+
 def test_solve_root_override(tmp_path, capsys):
     # G_cyc rooted at 1 instead: 1 -> 2 costs 1, nothing needed into 1
     inp = tmp_path / "cyc.txt"
@@ -198,15 +211,31 @@ def test_bench_weights_agree_across_algos(tmp_path, capsys):
         assert len(weights) == 1
 
 
-def test_bench_teardown_collects_ggst_garbage():
+def test_bench_teardown_collects_ggst_garbage(monkeypatch):
+    solvers = []
+
+    class Cyclic(cli.GgstSolver):
+        """A solver that only the cycle collector can free."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.me = self
+            solvers.append(weakref.ref(self))
+            # age the cycle into the oldest generation: the automatic
+            # collection that the next allocation after gc.enable() may
+            # trigger is a young one and leaves it alone
+            gc.collect()
+
+    monkeypatch.setattr(cli, "GgstSolver", Cyclic)
     graph = gen_antilemon(50)
     # an extra vertex that nothing enters: infeasible once the forest is grown
     unreachable = replace(graph, n=graph.n + 1)
     for g, status in ((graph, "ok"), (unreachable, "infeasible")):
-        gc.collect()
-        rows = list(cli._bench_rows(g, "anti.txt", "ggst", 1, None))
-        assert rows[0][9] == status
-        assert gc.collect() == 0, status
+        for rep, row in enumerate(cli._bench_rows(g, "anti.txt", "ggst", 2, None)):
+            assert row[9] == status
+            # freed inside teardown, before the row is handed out
+            assert solvers[-1]() is None, (status, rep)
+    assert len(solvers) == 4
 
 
 def test_bench_gc_off_in_init_and_exec_only(monkeypatch):

@@ -67,6 +67,31 @@ def test_oracle_sweep_with_debug_checks():
         assert sum(g.edges[e].weight for e in ids) == want
 
 
+def test_debug_accepts_equal_cost_parent_with_larger_edge_id():
+    # origin 3 moves from edge 2 (into 0) to edge 5 (into the new head 1),
+    # carrying its child, origin 5's edge 3 into 0; the contraction that
+    # joins 0 and 1 ties the two at cost 0 with the parent's edge id larger
+    from dmst import parse_edge_list
+    g = parse_edge_list("6 9 3\n2 0 0\n1 0 0\n3 0 0\n5 0 0\n4 1 -1\n"
+                        "3 1 -1\n0 2 -1\n0 5 1\n2 4 0\n")
+    assert ggst_solve(g, debug=True).total_weight == -1
+
+
+def test_tie_heavy_sweep_with_debug_checks():
+    rng = random.Random(1)
+    for _ in range(2000):
+        g = random_instance(rng, 14, 50, -2, 2)
+        try:
+            want = tarjan_solve(g, "sil").total_weight
+        except Infeasible:
+            want = None
+        try:
+            got = ggst_solve(g, debug=True).total_weight
+        except Infeasible:
+            got = None
+        assert got == want
+
+
 def test_matches_tarjan_on_er_instances():
     for seed in range(60):
         g = gen_er_rooted(40, 150, 25, seed)
