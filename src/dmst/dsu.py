@@ -11,8 +11,8 @@ additionally carries an additive cost offset per set: contracting a cycle
 subtracts each member's picked cost from all of its incoming edges, and the
 offsets implement that without touching any edge.
 
-Both classes count the members relabelled by joins in ``visits``; finds
-are not counted.
+Both classes count the members relabelled by joins in ``visits``, which
+``counters()`` reports as ``dsu_visits``; finds are not counted.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ class PlainDSU:
         self.size = [1] * n
         self.nxt = self.parent[:]  # shares parent's int objects
         self.visits = 0
+
+    def counters(self) -> dict:
+        return {"dsu_visits": self.visits}
 
     def find(self, v: int) -> int:
         return self.parent[v]

@@ -18,7 +18,9 @@ passive lists, newest member first: an entry whose origin lies outside the
 merged vertex replaces that origin's front when strictly cheaper at current
 cost. That leaves one edge per origin into the merged vertex, the cheapest,
 newest target on a tie. Entries whose origin was contracted into a later
-path vertex are dropped by the fold that takes in both.
+path vertex are dropped by the fold that takes in both. A covered vertex
+is never contracted, so finalizing a path frees its passive lists and a
+front into a covered vertex is dropped instead of demoted.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ class GgstSolver:
             if v != root and u != v:
                 self.in_adj[v].append(eid)
         self.passive: list[list[int]] = [[] for _ in range(n)]
+        # the root and finalized paths; a covered vertex is never contracted,
+        # so its passive list is never read
+        self.covered = bytearray(n)
+        if n:  # the empty instance has no root vertex
+            self.covered[root] = 1
 
     def _extend(self, u: int) -> None:
         """u becomes the new head: each incoming edge becomes its origin's
@@ -58,7 +65,7 @@ class GgstSolver:
         org, tgt, w = self.graph.org, self.graph.tgt, self.graph.w
         af = self.af
         front = af.eid
-        passive = self.passive
+        passive, covered = self.passive, self.covered
         for eid in self.in_adj[u]:
             x = parent[org[eid]]
             if x == u:
@@ -74,12 +81,13 @@ class GgstSolver:
                 if w[eid] < w[f]:
                     af.replace(x, eid, u)
                 continue
-            passive[tf].append(f)
+            if not covered[tf]:
+                passive[tf].append(f)
             af.replace(x, eid, u)
 
     def run(self) -> SolveResult:
         graph = self.graph
-        n, root = graph.n, graph.root
+        n = graph.n
         cdsu = self.cdsu
         parent = cdsu.parent
         af = self.af
@@ -89,9 +97,7 @@ class GgstSolver:
         debug = self.debug
         log = PickLog(graph, self.deadline, debug)
 
-        covered = bytearray(n)
-        if n:  # the empty instance has no root vertex
-            covered[root] = 1
+        covered = self.covered
         path: list[int] = []
         path_index = [-1] * n  # position on the path, -1 when off it
         next_start = 0
@@ -156,10 +162,11 @@ class GgstSolver:
                 # covered origin: the path can absorb nothing more
                 for r in path:
                     covered[r] = 1
+                    passive[r] = []
                     path_index[r] = -1
                 path = []
 
-        return log.result({**af.counters(), "dsu_visits": cdsu.visits})
+        return log.result({**af.counters(), **cdsu.counters()})
 
     def _debug_check(self, path: list[int], path_index: list[int]) -> None:
         """Each on-path r's passive entries target r, at most one per

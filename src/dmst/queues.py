@@ -6,6 +6,15 @@ where ``rep`` is the solver's ContractionDSU ``parent`` list, and support
 insert(v, eid, cost), extract_min(v), add_constant(v, delta) and merge(a, b).
 The caller merges right after joining a's and b's DSU sets: b's edges fold
 into a's, the union lands in slot ``rep[a]`` and the other slot is emptied.
+``load(graph)`` fills a new queue with every edge of the graph except
+self-loops and edges into the root, which can never be picked, each in
+slot ``tgt[eid]`` at cost ``w[eid]``. It drains exactly like one insert per
+edge. MatrixQueue loads by inserting. SilQueue appends to each slot's
+list and heapifies it once. LazyHeapQueue sorts all edge ids by cost,
+stably so that ties stay in id order, and links each slot's edges into a
+left spine: every node's only child is the next dearer edge. A sorted
+left spine is a valid skew heap with no right child anywhere, so it is
+built without a meld and adds nothing to the melds' amortized cost.
 ``counters()`` reports the work of the whole solve. Ties on equal cost
 break toward the smaller edge id in every strategy, so the three strategies
 produce identical traces. ggst's traces can differ from them: its choice
@@ -49,6 +58,13 @@ class MatrixQueue:
 
     def counters(self) -> dict:
         return {"cells_scanned": self.cells_scanned}
+
+    def load(self, graph) -> None:
+        insert = self.insert
+        root = graph.root
+        for eid, (u, v, w) in enumerate(zip(graph.org, graph.tgt, graph.w)):
+            if v != root and u != v:
+                insert(v, eid, w)
 
     def insert(self, v: int, eid: int, cost: int) -> None:
         row = self.row[v]
@@ -143,6 +159,24 @@ class LazyHeapQueue:
     def counters(self) -> dict:
         return {"melds": self.melds}
 
+    def load(self, graph) -> None:
+        """Each slot's edges as a left spine in (cost, edge id) order: one
+        stable sort of all edge ids by cost, then each edge hangs under
+        the last one its slot received."""
+        groot, org, tgt = graph.root, graph.org, graph.tgt
+        cost, left, root = self.cost, self.left, self.root
+        cost[:] = graph.w
+        tail = root[:]
+        for eid in sorted(range(len(cost)), key=cost.__getitem__):
+            v = tgt[eid]
+            if v != groot and org[eid] != v:
+                t = tail[v]
+                if t < 0:
+                    root[v] = eid
+                else:
+                    left[t] = eid
+                tail[v] = eid
+
     def _meld(self, x: int, y: int) -> int:
         # iterative skew-heap meld; recursion depth on these heaps is only
         # amortized-logarithmic, not worst-case, so no call stack. A root's
@@ -232,6 +266,14 @@ class SilQueue:
     def counters(self) -> dict:
         return {"queue_moves": self.moves,
                 "list_merge_scan": self.list_merge_scan}
+
+    def load(self, graph) -> None:
+        heap, root = self.heap, graph.root
+        for eid, (u, v, w) in enumerate(zip(graph.org, graph.tgt, graph.w)):
+            if v != root and u != v:
+                heap[v].append((w, eid))
+        for h in heap:
+            heapq.heapify(h)
 
     def insert(self, v: int, eid: int, cost: int) -> None:
         heapq.heappush(self.heap[v], (cost - self.offset[v], eid))

@@ -38,13 +38,7 @@ class TarjanSolver:
         self.cdsu = ContractionDSU(n)
         self.wdsu = PlainDSU(n)
         self.queues = STRATEGIES[strategy](n, graph.org, self.cdsu.parent)
-        insert = self.queues.insert
-        root = graph.root
-        for eid, (u, v, w) in enumerate(zip(graph.org, graph.tgt, graph.w)):
-            # input self-loops can never be chosen; edges into the root are
-            # never extracted either
-            if v != root and u != v:
-                insert(v, eid, w)
+        self.queues.load(graph)
 
     def run(self) -> SolveResult:
         graph = self.graph
@@ -89,9 +83,8 @@ class TarjanSolver:
             log.contract(members, merged)
             stack.append(merged)
 
-        counters = queues.counters()
-        counters["dsu_visits"] = cdsu.visits + wdsu.visits
-        return log.result(counters)
+        visits = cdsu.counters()["dsu_visits"] + wdsu.counters()["dsu_visits"]
+        return log.result({**queues.counters(), "dsu_visits": visits})
 
 
 def tarjan_solve(graph: Graph, strategy: str = "sil", *,

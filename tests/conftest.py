@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dmst import Graph, ggst_solve, parse_edge_list, tarjan_solve
+from dmst import Graph, ParseError, ggst_solve, parse_edge_list, tarjan_solve
 
 G_ONE_TEXT = "1 0 0\n"
 G_TRI_TEXT = "3 4 0\n0 1 5\n0 2 7\n1 2 1\n2 1 1\n"
@@ -50,3 +50,11 @@ def random_instance(rng: random.Random, max_n: int = 8, max_m: int = 20,
         tgt.append(rng.randrange(n))
         w.append(rng.randint(w_lo, w_hi))
     return Graph(n, rng.randrange(n), org, tgt, w)
+
+
+def parse_outcome(parse, text: str):
+    """The parsed graph, or the ParseError's message."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e)

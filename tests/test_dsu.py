@@ -161,6 +161,7 @@ def test_join_relabels_at_most_n_log_n(cls):
             d.join(v, v + step)
         step *= 2
     assert d.visits == (n // 2) * 14
+    assert d.counters() == {"dsu_visits": (n // 2) * 14}
     assert len({d.find(v) for v in range(n)}) == 1
 
     rng = random.Random(2718)

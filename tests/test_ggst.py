@@ -5,9 +5,9 @@ import random
 import pytest
 
 from conftest import random_instance
-from dmst import (Infeasible, brute_force, build_leaf_map, gen_antilemon,
-                  gen_er_rooted, ggst_solve, is_arborescence, reconstruct,
-                  tarjan_solve)
+from dmst import (GgstSolver, Infeasible, brute_force, build_leaf_map,
+                  gen_antilemon, gen_er_rooted, ggst_solve, is_arborescence,
+                  reconstruct, tarjan_solve)
 
 
 def test_single_vertex(g_one):
@@ -157,6 +157,21 @@ def test_golden_trace_and_counters(make, want):
     assert _digest(r.forest_parent) == parents
     assert {k: r.counters[k] for k in counters} == counters
     assert r.counters["dsu_visits"] <= max_visits
+
+
+def test_run_frees_every_passive_list():
+    # a finalized path is never contracted, so nothing reads its passive
+    # lists again: none may be left holding demoted edges after the solve
+    rng = random.Random(4)
+    graphs = [gen_antilemon(300), gen_er_rooted(2000, 8000, 100, 11)]
+    graphs += [random_instance(rng, 14, 50, -2, 2) for _ in range(300)]
+    for g in graphs:
+        solver = GgstSolver(g)
+        try:
+            solver.run()
+        except Infeasible:
+            continue
+        assert not any(solver.passive)
 
 
 def test_solve_leaves_no_cyclic_garbage():

@@ -2,10 +2,13 @@ import random
 
 import pytest
 
-from conftest import G_CYC_TEXT, G_TRI_TEXT, SOLVERS
+from conftest import G_CYC_TEXT, G_TRI_TEXT, SOLVERS, parse_outcome
 from dmst import (Edge, Graph, ParseError, SplitMix64, attach_super_root,
-                  build_leaf_map, parse_edge_list, parse_plain_edge_list,
-                  reconstruct, sample_weights, serialize, weak_components)
+                  build_leaf_map, gen_er_rooted, parse_edge_list,
+                  parse_plain_edge_list, reconstruct, sample_weights,
+                  serialize, weak_components)
+from dmst import graph as graph_mod
+from dmst.graph import W_LIMIT, _parse_lines
 
 
 def test_parse_tri():
@@ -50,6 +53,48 @@ def test_weight_bound():
     assert g.edges[0].weight == big
     with pytest.raises(ParseError, match="weight out of bound"):
         parse_edge_list(f"2 1 0\n0 1 -{big + 1}\n")
+
+
+@pytest.mark.parametrize("text", [
+    f"2 2 0\n0 1 {W_LIMIT}\n1 0 -{W_LIMIT}\n",
+    f"2 2 0\n0 1 {W_LIMIT}\n1 0 {W_LIMIT + 1}\n",
+    f"2 2 0\n0 1 -{W_LIMIT + 1}\n1 0 3\n",
+    "0 0 0\n",
+    "0 0 0",
+    "2 1 0\n0 1 3\n\n\n",
+    "2 1 0\r\n0 1 3\r\n",
+    "2 1 0\n0 ; 1\n",
+    # 4k - 1 tokens, but a line's own ';' pushes a separator into a column
+    "2 2 0\n0 1 3 ;\n1 0\n",
+    "2 2 0\n0 1 3\n1 0 3 4\n",
+    "2 1 0\n+0 1_0 -0\n",
+    "0 1 0\n0 0 0\n",
+    "2 1 0\n2 0 1\n",
+    "2 1 0\n-1 0 1\n",
+    "2 1 0\n0 -1 1\n",
+    "2 1 0 x\n0 1 3\n",
+])
+def test_bulk_parse_matches_line_parser(text):
+    assert (parse_outcome(parse_edge_list, text)
+            == parse_outcome(lambda t: _parse_lines(t.splitlines()), text))
+
+
+def test_generated_instances_take_the_bulk_path(monkeypatch):
+    # several chunks: a later chunk's error still names its line
+    g = gen_er_rooted(3000, 9000, 100, 5)
+    text = serialize(g)
+    assert parse_edge_list(text) == g
+
+    def refuse(lines):
+        raise AssertionError("line parser used")
+
+    monkeypatch.setattr(graph_mod, "_parse_lines", refuse)
+    assert parse_edge_list(text) == g
+    monkeypatch.undo()
+    lines = text.splitlines()
+    lines[8500] = "0 3000 1"
+    with pytest.raises(ParseError, match="^index out of range, line 8501$"):
+        parse_edge_list("\n".join(lines))
 
 
 def test_edges_view_is_cached_and_positional():

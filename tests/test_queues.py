@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import random_instance
 from dmst import ContractionDSU, LazyHeapQueue, MatrixQueue, SilQueue
 
 QUEUES = {"matrix": MatrixQueue, "heap": LazyHeapQueue, "sil": SilQueue}
@@ -267,6 +268,35 @@ def _run_sequence(seed, nops=30):
 def test_strategy_equivalence_random_sequences():
     for seed in range(300):
         _run_sequence(seed)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_load_drains_like_per_edge_inserts(kind):
+    # self-loops, edges into the root, parallels, negative weights and cost
+    # ties; a few shifts and DSU-driven merges after loading check that the
+    # loaded heaps also behave like inserted ones under merge
+    rng = random.Random(9)
+    for _ in range(300):
+        g = random_instance(rng, 12, 60, -3, 3)
+        d = ContractionDSU(g.n)
+        loaded = QUEUES[kind](g.n, g.org, d.parent)
+        loaded.load(g)
+        inserted = QUEUES[kind](g.n, g.org, d.parent)
+        for eid, (u, v, w) in enumerate(zip(g.org, g.tgt, g.w)):
+            if v != g.root and u != v:
+                inserted.insert(v, eid, w)
+        for _ in range(rng.randint(0, g.n)):
+            a, b = d.parent[rng.randrange(g.n)], d.parent[rng.randrange(g.n)]
+            delta = rng.randint(-2, 2)
+            if a == b:
+                continue
+            d.join(a, b)
+            for q in (loaded, inserted):
+                q.add_constant(a, delta)
+                q.merge(a, b)
+        for v in sorted(set(d.parent)):
+            assert drain(loaded, v) == drain(inserted, v)
+        assert loaded.counters() == inserted.counters()
 
 
 def test_heap_meld_counter_moves_on_merge():
