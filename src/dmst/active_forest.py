@@ -192,8 +192,9 @@ class ActiveForest:
         """Minimum-cost active edge into the head's heap, as a tuple
         (owner, edge id, current cost); None on an empty heap.
 
-        Consolidates the root list by equal-rank linking and reroutes any
-        root that no longer belongs to this home heap.
+        Consolidates the root list by equal-rank linking. By invariant (1)
+        every root in the list has its home here, so each is keyed with
+        the head's offset and none is moved elsewhere.
         """
         self.queries += 1
         root_ring = self.root_ring
@@ -204,7 +205,7 @@ class ActiveForest:
         eid, up, child = self.eid, self.parent, self.child
         left, right, rank = self.left, self.right, self.rank
         bucket, bkey = self._bucket, self._bkey
-        rep, off = self.cdsu.parent, self.cdsu.off
+        off = self.cdsu.off
         tgt, w = self.tgt, self.w
         m = len(w)
         right[left[x]] = -1  # open the ring: the walk ends past its tail
@@ -214,20 +215,7 @@ class ActiveForest:
             x = right[nd]
             e = eid[nd]
             t = tgt[e]
-            home = rep[t]
-            if home != head:
-                entry = root_ring[home]
-                if entry < 0:
-                    left[nd] = right[nd] = nd
-                    root_ring[home] = nd
-                else:
-                    tail = left[entry]
-                    left[nd] = tail
-                    right[nd] = entry
-                    right[tail] = nd
-                    left[entry] = nd
-                continue
-            key = (w[e] + (off[t] if home == t else off[t] + off[home])) * m + e
+            key = (w[e] + (off[t] if head == t else off[t] + off[head])) * m + e
             r = rank[nd]
             other = bucket[r]
             while other >= 0:
@@ -270,8 +258,6 @@ class ActiveForest:
                 right[prev] = nd
                 left[nd] = prev
             prev = nd
-        if best < 0:
-            return None
         right[prev] = first
         left[first] = prev
         root_ring[head] = first

@@ -6,10 +6,11 @@ union by size (the first argument's set wins ties) and relabels the smaller
 set, walking its circular member ring ``nxt``; a vertex is relabelled only
 when its set at least doubles, so all joins cost O(n log n) together.
 
-PlainDSU tracks weakly connected components of chosen edges. ContractionDSU
-additionally carries an additive cost offset per set: contracting a cycle
-subtracts each member's picked cost from all of its incoming edges, and the
-offsets implement that without touching any edge.
+PlainDSU tracks super-vertices and weakly connected components of chosen
+edges. ContractionDSU, ggst's, additionally carries an additive cost offset
+per set: contracting a cycle subtracts each member's picked cost from all
+of its incoming edges, and the offsets implement that without touching any
+edge. Tarjan's solver shifts costs in its queues and uses PlainDSU only.
 
 Both classes count the members relabelled by joins in ``visits``, which
 ``counters()`` reports as ``dsu_visits``; finds are not counted.

@@ -95,7 +95,7 @@ class GgstSolver:
         org, tgt, w = graph.org, graph.tgt, graph.w
         passive = self.passive
         debug = self.debug
-        log = PickLog(graph, self.deadline, debug)
+        log = PickLog(n, self.deadline, debug)
 
         covered = self.covered
         path: list[int] = []
@@ -130,7 +130,14 @@ class GgstSolver:
                 del path[j:]
                 for r in members:
                     path_index[r] = -1
-                log.shift(members, cdsu)
+                for r, pc in zip(members, log.pick_costs(members)):
+                    if pc:
+                        cdsu.add_offset(r, -pc)
+                if debug:
+                    for r in members:
+                        e2 = log.edge_of(r)
+                        assert w[e2] + cdsu.find_offset(tgt[e2])[1] == 0, \
+                            "cycle edge cost not zeroed"
                 for r in members:
                     if front[r] >= 0:
                         af.delete(r)

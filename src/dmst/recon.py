@@ -1,10 +1,13 @@
 """The picked-edge log both solvers write, and reconstruction from it.
 
-The picks accepted by a solver form a forest: a pick becomes the child of
-the later pick that absorbed its target super-vertex during a contraction.
-Walking the picks newest to oldest, every undeleted pick is a forest root
-and belongs to the answer; committing to it deletes the chain of earlier
-picks it supersedes, from the leaf of its original target upward.
+The log is the solve's trace. It owns no DSU, queue or cost shift; a
+solver reads back only a cycle member's pick and that pick's cost. The
+picks it records form a forest: right after a contraction a solver picks
+into the merged super-vertex, and that pick becomes the parent of every
+cycle member's pick. Walking the picks newest to oldest, every undeleted
+pick is a forest root and belongs to the answer; committing to it deletes
+the chain of earlier picks it supersedes, from the leaf of its original
+target upward.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dsu import ContractionDSU
 from .errors import SolveTimeout
 from .graph import Graph
 
@@ -32,17 +34,18 @@ class SolveResult:
 
 class PickLog:
     """One solve's picks, contractions and deadline. When picks close a
-    cycle, a solver calls ``shift``, joins the members, then ``contract``."""
+    cycle, a solver shifts the members' costs by ``pick_costs``, joins the
+    members, calls ``contract`` and picks next into the merged vertex."""
 
-    def __init__(self, graph: Graph, deadline: Optional[float], debug: bool):
-        self.graph = graph
+    def __init__(self, n: int, deadline: Optional[float], debug: bool):
+        self.n = n
         self.deadline = deadline
         self.debug = debug
         self.picked: list[int] = []
         self.costs: list[int] = []
         self.forest_parent: list[int] = []
-        self.pick_for = [-1] * graph.n  # per representative: its pick's index
-        self.pending: dict[int, list[int]] = {}
+        self.pick_for = [-1] * n  # per representative: its pick's index
+        self.next_head = -1  # debug only: the vertex the next pick must enter
         self.contractions = 0
         self.cycle_len_sum = 0
         self.ticks = 0
@@ -59,48 +62,42 @@ class PickLog:
 
     def pick(self, head: int, eid: int, cost: int) -> None:
         """Accept edge eid, at current cost ``cost``, into super-vertex head."""
-        picked, fp = self.picked, self.forest_parent
+        picked = self.picked
         idx = len(picked)
         if not idx & _TICK_MASK:
             self._poll()
+        if self.debug:
+            if self.next_head >= 0 and head != self.next_head:
+                raise AssertionError("pick skipped the merged vertex")
+            self.next_head = -1
         picked.append(eid)
         self.costs.append(cost)
-        fp.append(-1)
-        for p in self.pending.pop(head, ()):
-            fp[p] = idx
+        self.forest_parent.append(-1)
         self.pick_for[head] = idx
 
     def edge_of(self, rep: int) -> int:
         return self.picked[self.pick_for[rep]]
 
-    def shift(self, members: list[int], cdsu: ContractionDSU) -> list[int]:
-        """Shift each cycle member's incoming costs down by its pick's cost,
-        so every cycle edge costs 0; returns those costs."""
+    def pick_costs(self, members: list[int]) -> list[int]:
+        """Each cycle member's pick cost: the solver shifts the member's
+        incoming costs down by it, so every cycle edge costs 0."""
         costs, pick_for = self.costs, self.pick_for
-        shifts = []
-        for rep in members:
-            pc = costs[pick_for[rep]]
-            if pc:
-                cdsu.add_offset(rep, -pc)
-            shifts.append(pc)
-        if self.debug:
-            tgt, w = self.graph.tgt, self.graph.w
-            for rep in members:
-                eid = self.edge_of(rep)
-                assert w[eid] + cdsu.find_offset(tgt[eid])[1] == 0, \
-                    "cycle edge cost not zeroed"
-        return shifts
+        return [costs[pick_for[rep]] for rep in members]
 
     def contract(self, members: list[int], merged: int) -> None:
         """The shifted cycle is now joined into ``merged``; the members'
-        picks become children of merged's next pick."""
+        picks become children of the next pick, which enters merged."""
         self.contractions += 1
         self.cycle_len_sum += len(members)
-        self.pending[merged] = [self.pick_for[rep] for rep in members]
+        fp, pick_for, nxt = self.forest_parent, self.pick_for, len(self.picked)
+        for rep in members:
+            fp[pick_for[rep]] = nxt
+        if self.debug:
+            self.next_head = merged
 
     def result(self, counters: dict) -> SolveResult:
         """The finished log, with the solver's own ``counters`` added."""
-        if len(self.picked) > 2 * self.graph.n:
+        if len(self.picked) > 2 * self.n:
             raise AssertionError("picked more than 2n edges")
         return SolveResult(sum(self.costs), self.picked, self.forest_parent, {
             "picks": len(self.picked),

@@ -1,19 +1,22 @@
 """Contraction solver over pluggable incoming-edge queues.
 
 The solver keeps a stack of unprocessed super-vertices. For each it extracts
-the cheapest incoming edge, discarding self-loops under the ContractionDSU.
-If the edge's origin is already weakly connected to the target (PlainDSU),
-the chosen edges form a cycle: every member's incoming costs are shifted
-down by its picked cost, the members' queues and DSU sets are merged, and
-the merged super-vertex goes back on the stack. The accepted picks are a
-superset of the answer; reconstruction extracts the arborescence from them.
+the cheapest incoming edge, discarding self-loops under the contraction
+DSU. If the edge's origin is already weakly connected to the target (a
+second DSU), the chosen edges form a cycle: every member's incoming costs
+are shifted down by its picked cost, the members' queues and DSU sets are
+merged, and the merged super-vertex goes back on the stack, so the next
+pick enters it. Costs live only in the queues: a shift is one
+``add_constant`` per member, and neither DSU carries an offset. The
+accepted picks are a superset of the answer; reconstruction extracts the
+arborescence from them.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .dsu import ContractionDSU, PlainDSU
+from .dsu import PlainDSU
 from .errors import Infeasible
 from .graph import Graph
 from .queues import LazyHeapQueue, MatrixQueue, SilQueue
@@ -35,7 +38,7 @@ class TarjanSolver:
         self.deadline = deadline
         self.debug = debug
         n = graph.n
-        self.cdsu = ContractionDSU(n)
+        self.cdsu = PlainDSU(n)
         self.wdsu = PlainDSU(n)
         self.queues = STRATEGIES[strategy](n, graph.org, self.cdsu.parent)
         self.queues.load(graph)
@@ -48,7 +51,7 @@ class TarjanSolver:
         org = graph.org
         queues = self.queues
         extract_min = queues.extract_min
-        log = PickLog(graph, self.deadline, self.debug)
+        log = PickLog(n, self.deadline, self.debug)
 
         stack = [v for v in range(n) if v != root]
         while stack:
@@ -72,7 +75,7 @@ class TarjanSolver:
             while cur != v:
                 members.append(cur)
                 cur = parent[org[log.edge_of(cur)]]
-            for rep, pc in zip(members, log.shift(members, cdsu)):
+            for rep, pc in zip(members, log.pick_costs(members)):
                 if pc:
                     queues.add_constant(rep, -pc)
             merged = members[0]

@@ -387,7 +387,7 @@ def test_gen_antilemon_round_trip(tmp_path, capsys):
     assert run_cli(["gen", "antilemon", "--k", "3", "--out", str(out)]) == 0
     capsys.readouterr()
     g = parse_edge_list(out.read_text())
-    assert g.n == 4 and len(g.edges) == 5 and g.root == 3
+    assert g.n == 4 and len(g.w) == 5 and g.root == 3
 
 
 def test_gen_er_round_trip_and_stdout(tmp_path, capsys):
@@ -396,7 +396,7 @@ def test_gen_er_round_trip_and_stdout(tmp_path, capsys):
                     "--seed", "4", "--out", str(out)]) == 0
     capsys.readouterr()
     g = parse_edge_list(out.read_text())
-    assert g.n == 10 and len(g.edges) == 9
+    assert g.n == 10 and len(g.w) == 9
     assert run_cli(["gen", "er-rooted", "--n", "10", "--m", "9",
                     "--seed", "4"]) == 0
     captured = capsys.readouterr()

@@ -58,6 +58,6 @@ def test_oracles_agree_on_random_instances():
         assert got == want
         if want is not None:
             hits += 1
-            assert sum(g.edges[e].weight for e in ids) == want
+            assert sum(g.w[e] for e in ids) == want
             assert len(ids) == g.n - 1
     assert hits > 300  # sanity: the sweep actually exercises feasible cases

@@ -7,6 +7,7 @@ from conftest import SOLVERS, random_instance
 from dmst import (Infeasible, SolveTimeout, brute_force, build_leaf_map,
                   gen_antilemon, ggst_solve, is_arborescence, reconstruct,
                   tarjan_solve)
+from dmst.recon import PickLog
 from dmst.tarjan import SolveResult
 
 
@@ -97,3 +98,22 @@ def test_visits_stay_linear_in_picked():
         # debug mode enforces the node-visit bound internally
         ids = reconstruct(r, build_leaf_map(r, g), g, debug=True)
         assert len(ids) == g.n - 1
+
+
+def test_pick_after_contract_must_enter_merged_vertex():
+    # contract makes the members' picks children of the next pick, so that
+    # pick has to enter the merged vertex; debug mode enforces the rule
+    log = PickLog(3, None, debug=True)
+    log.pick(1, 0, 4)
+    log.pick(2, 1, 5)
+    log.contract([1, 2], 1)
+    with pytest.raises(AssertionError, match="merged vertex"):
+        log.pick(0, 2, 0)
+
+    log = PickLog(3, None, debug=True)
+    log.pick(1, 0, 4)
+    log.pick(2, 1, 5)
+    log.contract([1, 2], 2)
+    log.pick(2, 2, 0)
+    log.pick(0, 3, 1)  # the rule holds for one pick only
+    assert log.forest_parent == [2, 2, -1, -1]

@@ -34,7 +34,7 @@ def test_cyc(g_cyc, strategy):
     r = tarjan_solve(g_cyc, strategy, debug=True)
     assert r.total_weight == 11
     assert 0 in r.picked and 1 in r.picked  # both weight-1 cycle edges
-    assert sum(1 for e in r.picked if g_cyc.edges[e].weight == 10) == 1
+    assert sum(1 for e in r.picked if g_cyc.w[e] == 10) == 1
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
