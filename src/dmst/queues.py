@@ -20,7 +20,17 @@ break toward the smaller edge id in every strategy, so the three strategies
 produce identical traces. ggst's traces can differ from them: its choice
 among equal-cost edges depends on the shape of its active forest.
 
-MatrixQueue   dense per-origin row, cheapest edge per origin, O(n) ops
+MatrixQueue and SilQueue store one int per edge, ``_key(cost - offset[v],
+eid, m)`` with m = ``len(org)``, the key the active forest orders by: int
+order is (cost, edge id) order, ``divmod(key, m)`` gives back the cost and
+the id, a shift by d is ``offset[v] += d``, and a merge rebases the moved
+keys by the offset difference times m. LazyHeapQueue keeps (cost, edge id)
+comparisons on its cost list: int keys there were no faster (er-rooted
+n=12000, m=48000: init about 6 ms slower in every one of 15 reps, exec no
+better; antilemon k=12000: init 3 ms slower, exec flat), and they are m
+new int objects.
+
+MatrixQueue   dense int64 per-origin row + per-slot offset, O(n) ops
 LazyHeapQueue skew heap with lazily propagated cost deltas, O(log n) ops
 SilQueue      binary heap + per-slot offset, smaller-into-larger merges
 """
@@ -29,28 +39,57 @@ from __future__ import annotations
 
 import heapq
 
-# a row is [None] * n, so n rows take up to 8 * n^2 bytes: 0.8 GB here
+# an int64 row of n cells takes 8 * n bytes, so n rows take up to 8 * n^2
+# bytes: 0.8 GB here
 MATRIX_MAX_N = 10_000
+INT64_MAX = 2**63 - 1
+EMPTY = INT64_MAX  # a free matrix cell; dearer than every stored key
+
+
+def _key(cost: int, eid: int, m: int) -> int:
+    """The int that orders edges by (cost, edge id), for edge ids below m;
+    ``divmod(key, m)`` gives back (cost, eid)."""
+    return cost * m + eid
 
 
 class MatrixQueue:
-    """Per super-vertex, one row of per-origin best (cost, edge id) cells.
+    """Per super-vertex, one int64 row of per-origin best edge keys.
 
-    A row is allocated on its first insert. At most one entry per origin
-    super-vertex ``rep[org[eid]]`` is kept (the cheaper).
+    Cell s of slot v's row holds ``_key(cost - offset[v], eid, m)`` for the
+    cheapest edge into v from origin super-vertex s, or EMPTY. A row is an
+    ``array('q')`` copy of one EMPTY template, allocated on the slot's first
+    insert; the collector does not walk its cells. At most one entry per
+    origin ``rep[org[eid]]`` is kept (the cheaper). ``add_constant`` only
+    moves the slot's offset, and a merge rebases b's keys into a's offset.
+
+    **The int64 bound.** Let W be the largest |weight| of the graph. In a
+    Tarjan solve every current cost lies in [-W, 2W]: a slot is shifted by
+    minus the cost it just picked, its minimum, which leaves its costs in
+    [0, 2W]. A slot's offset sums at most n shifts, each in [-2W, W], so a
+    stored cost ``cost - offset`` has magnitude at most 2W(n + 1) and every
+    key lies strictly between -2**63 and EMPTY when
+    ``(2W(n + 1) + 1) * m <= 2**63 - 1``. ``load`` checks this before it
+    allocates a row and raises ValueError naming the limit beyond it.
     """
 
-    __slots__ = ("n", "org", "rep", "row", "occupied", "count", "cells_scanned")
+    __slots__ = ("m", "org", "rep", "row", "blank", "offset", "occupied",
+                 "count", "cells_scanned")
 
     def __init__(self, n: int, org: list[int], rep: list[int]):
         if n > MATRIX_MAX_N:
             raise ValueError(f"tarjan-matrix takes at most {MATRIX_MAX_N} "
                              f"vertices, the instance has {n}")
-        self.n = n
+        self.m = len(org)
         self.org = org
         self.rep = rep
+        # imported here: the extension module adds about 0.3 MB to the
+        # resident size of every process that imports dmst
+        from array import array
+
         self.row: list = [None] * n
-        # slots that transitioned None -> value; may hold stale (re-cleared)
+        self.blank = array("q", [EMPTY]) * n
+        self.offset = [0] * n
+        # slots that went EMPTY -> key; may hold stale (re-cleared)
         # entries, pruned during scans
         self.occupied: list[list[int]] = [[] for _ in range(n)]
         self.count = [0] * n
@@ -60,31 +99,38 @@ class MatrixQueue:
         return {"cells_scanned": self.cells_scanned}
 
     def load(self, graph) -> None:
+        w, m = graph.w, self.m
+        big = max(max(w, default=0), -min(w, default=0))
+        if (2 * big * (graph.n + 1) + 1) * m > INT64_MAX:
+            raise ValueError(
+                "tarjan-matrix keys must fit in 64 bits: (2W(n + 1) + 1) * m "
+                f"may be at most 2**63 - 1, with W = {big}, the largest "
+                f"|weight|, n = {graph.n} and m = {m}")
         insert = self.insert
         root = graph.root
-        for eid, (u, v, w) in enumerate(zip(graph.org, graph.tgt, graph.w)):
+        for eid, (u, v, c) in enumerate(zip(graph.org, graph.tgt, w)):
             if v != root and u != v:
-                insert(v, eid, w)
+                insert(v, eid, c)
 
     def insert(self, v: int, eid: int, cost: int) -> None:
         row = self.row[v]
         if row is None:
-            row = self.row[v] = [None] * self.n
+            row = self.row[v] = self.blank[:]
         s = self.rep[self.org[eid]]
+        key = _key(cost - self.offset[v], eid, self.m)
         cell = row[s]
-        if cell is None:
-            row[s] = (cost, eid)
-            self.occupied[v].append(s)
-            self.count[v] += 1
-        elif (cost, eid) < cell:
-            row[s] = (cost, eid)
+        if key < cell:
+            if cell == EMPTY:
+                self.occupied[v].append(s)
+                self.count[v] += 1
+            row[s] = key
 
     def _prune(self, v: int):
         """Slot v's row and its live slots, stale ones dropped; a scan
         counts every occupied slot it passes."""
         row, occupied = self.row[v], self.occupied[v]
         self.cells_scanned += len(occupied)
-        live = self.occupied[v] = [s for s in occupied if row[s] is not None]
+        live = self.occupied[v] = [s for s in occupied if row[s] != EMPTY]
         return row, live
 
     def extract_min(self, v: int):
@@ -92,47 +138,46 @@ class MatrixQueue:
             return None
         row, live = self._prune(v)
         s = min(live, key=row.__getitem__)
-        cost, eid = row[s]
-        row[s] = None
+        cost, eid = divmod(row[s], self.m)
+        row[s] = EMPTY
         self.count[v] -= 1
-        return eid, cost
+        return eid, cost + self.offset[v]
 
     def add_constant(self, v: int, delta: int) -> None:
-        if self.count[v] == 0 or delta == 0:
-            return
-        row, live = self._prune(v)
-        for s in live:
-            cost, eid = row[s]
-            row[s] = (cost + delta, eid)
+        self.offset[v] += delta
 
     def merge(self, a: int, b: int) -> None:
         """Per-origin elementwise minimum of current costs, in a's row.
-        b's cells are filed under their origins' current representatives,
-        so entries from origins contracted since land in one cell."""
-        rows, occupied, count = self.row, self.occupied, self.count
+        b's cells are rebased into a's offset and filed under their
+        origins' current representatives, so entries from origins
+        contracted since land in one cell."""
+        rows, occupied, count, offset = (self.row, self.occupied, self.count,
+                                         self.offset)
         if count[b]:
             row = rows[a]
             if row is None:
-                row = rows[a] = [None] * self.n
-            rep, org, mine = self.rep, self.org, occupied[a]
+                row = rows[a] = self.blank[:]
+            rep, org, m, mine = self.rep, self.org, self.m, occupied[a]
+            shift = (offset[b] - offset[a]) * m
             other = rows[b]
             for s in occupied[b]:
-                cell = other[s]
-                if cell is None:
+                key = other[s]
+                if key == EMPTY:
                     continue
-                s2 = rep[org[cell[1]]]
+                key += shift
+                s2 = rep[org[key % m]]
                 have = row[s2]
-                if have is None:
-                    row[s2] = cell
-                    mine.append(s2)
-                    count[a] += 1
-                elif cell < have:
-                    row[s2] = cell
+                if key < have:
+                    if have == EMPTY:
+                        mine.append(s2)
+                        count[a] += 1
+                    row[s2] = key
             self.cells_scanned += len(occupied[b])
         r = self.rep[a]
         gone = b if r == a else a
-        rows[r], occupied[r], count[r] = rows[a], occupied[a], count[a]
-        rows[gone], occupied[gone], count[gone] = None, [], 0
+        rows[r], occupied[r], count[r], offset[r] = (rows[a], occupied[a],
+                                                     count[a], offset[a])
+        rows[gone], occupied[gone], count[gone], offset[gone] = None, [], 0, 0
 
 
 class LazyHeapQueue:
@@ -243,22 +288,22 @@ class LazyHeapQueue:
 
 
 class SilQueue:
-    """Per super-vertex, a heapq of (cost - offset, edge id); add_constant
-    bumps the slot's offset.
+    """Per super-vertex, a heapq of ``_key(cost - offset, eid, m)`` ints;
+    add_constant bumps the slot's offset.
 
-    Merge moves the smaller heap's elements into the larger, rebasing each
-    stored key by the offset difference; ``moves`` counts elements moved
-    (each element moves O(log total) times across any merge sequence).
-    ``list_merge_scan`` accounts what a naive scan of both lists would have
-    touched per merge, the quantity the worst-case generator drives
-    quadratic.
+    Merge moves the smaller heap's keys into the larger, rebasing each by
+    the offset difference times m; ``moves`` counts keys moved (each moves
+    O(log total) times across any merge sequence). ``list_merge_scan``
+    accounts what a naive scan of both lists would have touched per merge,
+    the quantity the worst-case generator drives quadratic.
     """
 
-    __slots__ = ("rep", "heap", "offset", "moves", "list_merge_scan")
+    __slots__ = ("m", "rep", "heap", "offset", "moves", "list_merge_scan")
 
     def __init__(self, n: int, org: list[int], rep: list[int]):
+        self.m = len(org)
         self.rep = rep
-        self.heap: list[list] = [[] for _ in range(n)]
+        self.heap: list[list[int]] = [[] for _ in range(n)]
         self.offset = [0] * n
         self.moves = 0
         self.list_merge_scan = 0
@@ -268,22 +313,22 @@ class SilQueue:
                 "list_merge_scan": self.list_merge_scan}
 
     def load(self, graph) -> None:
-        heap, root = self.heap, graph.root
+        heap, root, m, key = self.heap, graph.root, self.m, _key
         for eid, (u, v, w) in enumerate(zip(graph.org, graph.tgt, graph.w)):
             if v != root and u != v:
-                heap[v].append((w, eid))
+                heap[v].append(key(w, eid, m))
         for h in heap:
             heapq.heapify(h)
 
     def insert(self, v: int, eid: int, cost: int) -> None:
-        heapq.heappush(self.heap[v], (cost - self.offset[v], eid))
+        heapq.heappush(self.heap[v], _key(cost - self.offset[v], eid, self.m))
 
     def extract_min(self, v: int):
         heap = self.heap[v]
         if not heap:
             return None
-        key, eid = heapq.heappop(heap)
-        return eid, key + self.offset[v]
+        cost, eid = divmod(heapq.heappop(heap), self.m)
+        return eid, cost + self.offset[v]
 
     def add_constant(self, v: int, delta: int) -> None:
         self.offset[v] += delta
@@ -296,9 +341,9 @@ class SilQueue:
         if len(small) > len(big):
             big, small = small, big
             big_off, small_off = small_off, big_off
-        shift = small_off - big_off
-        for key, eid in small:
-            heapq.heappush(big, (key + shift, eid))
+        shift = (small_off - big_off) * self.m
+        for key in small:
+            heapq.heappush(big, key + shift)
         self.moves += len(small)
         heaps[a] = heaps[b] = []
         offset[a] = offset[b] = 0

@@ -72,6 +72,22 @@ def test_solve_refuses_matrix_above_its_vertex_limit(tmp_path, capsys):
     assert "10000" in captured.err
 
 
+def test_solve_refuses_matrix_keys_beyond_int64(tmp_path, capsys):
+    # n = 10 000 and one weight of 2**32: (2W(n + 1) + 1) * m passes
+    # 2**63 - 1 from m = 107 364 edges on
+    n, m = 10_000, 110_000
+    lines = [f"{n} {m} 0", f"0 1 {2**32}"]
+    lines += (f"{i % n} {(i + 1) % n} 1" for i in range(1, m))
+    inp = tmp_path / "wide.txt"
+    inp.write_text("\n".join(lines) + "\n")
+    code = run_cli(["solve", "--algo", "tarjan-matrix", "--in", str(inp),
+                    "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.err.startswith("dmst: ")
+    assert "2**63 - 1" in captured.err
+
+
 def test_solve_unknown_algorithm_is_usage_error(tmp_path, capsys):
     inp = tmp_path / "tri.txt"
     inp.write_text(G_TRI_TEXT)

@@ -135,6 +135,35 @@ def test_matrix_refuses_more_than_its_vertex_limit():
         MatrixQueue(10_001, [], list(range(10_001)))
 
 
+def test_matrix_shift_scans_no_cell():
+    org = list(range(6))
+    q = MatrixQueue(7, org, list(range(7)))
+    for i in range(6):
+        q.insert(6, i, 10 - i)
+    before = q.cells_scanned
+    q.add_constant(6, -7)
+    assert q.cells_scanned == before
+    assert drain(q, 6) == [(5, -2), (4, -1), (3, 0), (2, 1), (1, 2), (0, 3)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_negative_keys_drain_in_cost_then_id_order(kind):
+    # costs and shifts below zero take the stored keys below 0; int keys
+    # must still drain by cost, then edge id, also after a rebasing merge
+    org = list(range(8))
+    q = make_queue(kind, 10, org)
+    for eid, c in ((0, -3), (1, 4), (2, -3), (3, -9)):
+        q.insert(8, eid, c)
+    q.add_constant(8, -5)           # -8, -1, -8, -14
+    for eid, c in ((4, -13), (5, -8), (6, 2), (7, -14)):
+        q.insert(9, eid, c)
+    q.add_constant(9, -1)           # -14, -9, 1, -15
+    q.merge(8, 9)
+    q.add_constant(8, 2)
+    assert drain(q, 8) == [(7, -13), (3, -12), (4, -12), (5, -7), (0, -6),
+                           (2, -6), (1, 1), (6, 3)]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_merge_with_empty_is_identity(kind):
     org = [0, 1]

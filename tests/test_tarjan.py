@@ -4,8 +4,9 @@ from dataclasses import replace
 import pytest
 
 from conftest import SOLVERS, random_instance
-from dmst import (Graph, Infeasible, brute_force, gen_antilemon,
-                  gen_er_rooted, tarjan_solve)
+from dmst import (Graph, Infeasible, MatrixQueue, brute_force, gen_antilemon,
+                  gen_er_rooted, naive_edmonds, parse_edge_list, tarjan_solve)
+from dmst.graph import W_LIMIT
 from test_ggst import _digest
 
 STRATEGIES = ("matrix", "heap", "sil")
@@ -105,6 +106,61 @@ def test_weight_shift_covariance():
         done += 1
 
 
+# the cycle 1 -> 2 -> 3 -> 1 at -W_LIMIT, entered from the root at +W_LIMIT
+_EXTREME_TEXT = (f"4 7 0\n0 1 {W_LIMIT}\n0 2 {W_LIMIT}\n1 2 -{W_LIMIT}\n"
+                 f"2 3 -{W_LIMIT}\n3 1 -{W_LIMIT}\n2 1 {W_LIMIT}\n"
+                 f"3 2 {W_LIMIT - 1}\n")
+
+
+def test_weights_at_the_parse_limit_agree_with_naive_edmonds():
+    graphs = [parse_edge_list(_EXTREME_TEXT)]
+    rng = random.Random(2**32)
+    for _ in range(200):
+        g = random_instance(rng, 8, 24)
+        graphs.append(replace(g, w=[rng.choice(
+            (-W_LIMIT, -W_LIMIT + 1, 0, W_LIMIT - 1, W_LIMIT)) for _ in g.w]))
+    for g in graphs:
+        try:
+            want = naive_edmonds(g)
+        except Infeasible:
+            want = None
+        for solve in SOLVERS.values():
+            try:
+                got = solve(g, debug=True).total_weight
+            except Infeasible:
+                got = None
+            assert got == want
+    assert naive_edmonds(graphs[0]) == -W_LIMIT
+
+
+def test_matrix_key_bound_holds_at_its_edge():
+    # weights up to the largest W with (2W(n + 1) + 1) * m <= 2**63 - 1:
+    # the matrix's int64 rows must never overflow and must agree with sil;
+    # one weight beyond it is refused before a row is allocated
+    rng = random.Random(63)
+    for _ in range(300):
+        g = random_instance(rng, 9, 30)
+        if not g.w:
+            continue
+        n, m = g.n, len(g.w)
+        big = ((2**63 - 1) // m - 1) // (2 * (n + 1))
+        g = replace(g, w=[rng.choice((-big, -big + 1, 0, big - 1, big))
+                          for _ in g.w])
+        try:
+            want = tarjan_solve(g, "sil").total_weight
+        except Infeasible:
+            want = None
+        try:
+            got = tarjan_solve(g, "matrix").total_weight
+        except Infeasible:
+            got = None
+        assert got == want
+        q = MatrixQueue(n, g.org, list(range(n)))
+        with pytest.raises(ValueError, match="64 bits"):
+            q.load(replace(g, w=[big + 1] + g.w[1:]))
+        assert q.row == [None] * n  # refused before any row was allocated
+
+
 def test_counters_expose_strategy_specific_work():
     from dmst import parse_edge_list
     common = {"picks", "contractions", "summed_cycle_length", "dsu_visits"}
@@ -130,12 +186,12 @@ _ER = (47397, "94ff51d64930d764", "5312a5222b941d74",
 
 @pytest.mark.parametrize("make, strategy, want, own", [
     (lambda: gen_antilemon(300), "matrix", _ANTILEMON,
-     {"cells_scanned": 90598}),
+     {"cells_scanned": 45748}),
     (lambda: gen_antilemon(300), "heap", _ANTILEMON, {"melds": 299}),
     (lambda: gen_antilemon(300), "sil", _ANTILEMON,
      {"queue_moves": 0, "list_merge_scan": 44850}),
     (lambda: gen_er_rooted(2000, 8000, 100, 11), "matrix", _ER,
-     {"cells_scanned": 10852}),
+     {"cells_scanned": 10211}),
     (lambda: gen_er_rooted(2000, 8000, 100, 11), "heap", _ER, {"melds": 149}),
     (lambda: gen_er_rooted(2000, 8000, 100, 11), "sil", _ER,
      {"queue_moves": 597, "list_merge_scan": 17769}),
