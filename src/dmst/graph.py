@@ -14,9 +14,9 @@ from typing import Iterable, NamedTuple
 from .dsu import PlainDSU
 from .errors import ParseError
 
-# Weights must stay small enough that a weight plus n accumulated offsets of
-# input magnitude fits a signed 64-bit value. Large vertex counts therefore
-# demand a tighter weight range.
+# Bounds on input weights, tighter for large vertex counts; they validate
+# outside input. Only tarjan-matrix stores int64 keys, and its load checks
+# its own key bound; the other configurations hold Python ints.
 W_LIMIT = 2**32
 W_LIMIT_BIG_N = 2**24
 N_SOFT_LIMIT = 2**20
@@ -61,69 +61,22 @@ def _parse_int(tok: str, lineno: int) -> int:
         raise ParseError(f"not an integer {tok!r}, line {lineno}") from None
 
 
-# edge lines per bulk-parse chunk: a chunk's token strings live at once, so
-# the chunk stays small next to the columns it fills (at m = 48000, 4096
-# lines raised the parse peak by about 1 MB and were no faster)
+# edge lines per chunk: a chunk's token strings live at once, so the chunk
+# stays small next to the columns it fills (at m = 48000, 4096 lines raised
+# the parse peak by about 1 MB and were no faster)
 PARSE_CHUNK = 256
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the ``n m r`` edge-list format.
 
-    Raises ParseError naming the offending line for malformed lines,
-    out-of-range indices, and out-of-bound weights. Well-formed text takes
-    a columnar fast path; anything it does not accept goes through the
-    line parser, which gives the same graph or names the line at fault.
+    The header is the first non-blank line. The edge lines after it are
+    read ``PARSE_CHUNK`` at a time: :func:`_columns` takes a well-formed
+    chunk whole, and a chunk it refuses is read line by line, so every
+    ParseError names its physical line: malformed lines, out-of-range
+    indices, out-of-bound weights and a wrong edge count.
     """
     lines = text.splitlines()
-    graph = _parse_bulk(lines)
-    return graph if graph is not None else _parse_lines(lines)
-
-
-def _parse_bulk(lines: list[str]) -> Graph | None:
-    """The graph of a header on the first line followed by exactly ``m``
-    edge lines of three in-range integers each, or None for anything else.
-
-    Edge lines are tokenized a chunk at a time as one string, the k lines
-    joined by k - 1 ``;`` tokens, and the columns are every fourth token
-    from 0, 1 and 2. If there are 4k - 1 tokens and ``int`` takes every
-    column token, no ``;`` sits in a column, so the k - 1 separators fill
-    the positions 3, 7, ... in order and every line has three tokens. The
-    columns are then range-checked with min/max.
-    """
-    head = lines[0].split() if lines else ()
-    if len(head) != 3:
-        return None
-    try:
-        n, m, root = map(int, head)
-    except ValueError:
-        return None
-    if n < 0 or m < 0 or not (n == 0 or 0 <= root < n) or len(lines) != m + 1:
-        return None
-    w_limit = W_LIMIT_BIG_N if n > N_SOFT_LIMIT else W_LIMIT
-    org: list[int] = []
-    tgt: list[int] = []
-    ws: list[int] = []
-    try:
-        for start in range(1, m + 1, PARSE_CHUNK):
-            chunk = lines[start:start + PARSE_CHUNK]
-            toks = " ; ".join(chunk).split()
-            if len(toks) != 4 * len(chunk) - 1:
-                return None
-            org += map(int, toks[0::4])
-            tgt += map(int, toks[1::4])
-            ws += map(int, toks[2::4])
-    except ValueError:
-        return None
-    if m and (min(org) < 0 or max(org) >= n or min(tgt) < 0 or max(tgt) >= n
-              or min(ws) < -w_limit or max(ws) > w_limit):
-        return None
-    return Graph(n, root, org, tgt, ws)
-
-
-def _parse_lines(lines: list[str]) -> Graph:
-    """Parse line by line; every ParseError names its physical line."""
-    # the header is the first non-blank line; hno is its physical number
     hno = next((i for i, raw in enumerate(lines, 1) if raw.split()), 0)
     if not hno:
         raise ParseError("missing header, line 1")
@@ -137,26 +90,62 @@ def _parse_lines(lines: list[str]) -> Graph:
         raise ParseError(f"root out of range, line {hno}")
     w_limit = W_LIMIT_BIG_N if n > N_SOFT_LIMIT else W_LIMIT
 
-    org, tgt, ws = [], [], []
-    for lineno, raw in enumerate(lines[hno:], hno + 1):
-        parts = raw.split()
-        if not parts:
+    org: list[int] = []
+    tgt: list[int] = []
+    ws: list[int] = []
+    for start in range(hno, len(lines), PARSE_CHUNK):
+        chunk = lines[start:start + PARSE_CHUNK]
+        if _columns(chunk, n, w_limit, org, tgt, ws):
             continue
-        if len(parts) != 3:
-            raise ParseError(f"edge line must be 'u v w', line {lineno}")
-        u = _parse_int(parts[0], lineno)
-        v = _parse_int(parts[1], lineno)
-        w = _parse_int(parts[2], lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"index out of range, line {lineno}")
-        if abs(w) > w_limit:
-            raise ParseError(f"weight out of bound, line {lineno}")
-        org.append(u)
-        tgt.append(v)
-        ws.append(w)
+        for lineno, raw in enumerate(chunk, start + 1):
+            parts = raw.split()
+            if not parts:
+                continue
+            if len(parts) != 3:
+                raise ParseError(f"edge line must be 'u v w', line {lineno}")
+            u, v, w = (_parse_int(t, lineno) for t in parts)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(f"index out of range, line {lineno}")
+            if abs(w) > w_limit:
+                raise ParseError(f"weight out of bound, line {lineno}")
+            org.append(u)
+            tgt.append(v)
+            ws.append(w)
     if len(ws) != m:
         raise ParseError(f"expected {m} edges, found {len(ws)}, line {len(lines) + 1}")
     return Graph(n, root, org, tgt, ws)
+
+
+def _columns(chunk: list[str], n: int, w_limit: int, org: list[int],
+             tgt: list[int], ws: list[int]) -> bool:
+    """Append the origins, targets and weights of ``chunk`` to the columns
+    and return True if every line holds three integers in range; else leave
+    the columns as they were and return False.
+
+    The k lines are joined by k - 1 ``;`` tokens into one string, and the
+    columns are every fourth token from 0, 1 and 2. If there are 4k - 1
+    tokens and ``int`` takes every column token, no ``;`` sits in a column,
+    so the k - 1 separators fill the positions 3, 7, ... in order and every
+    line has three tokens. The new values are then range-checked with
+    min/max.
+    """
+    toks = " ; ".join(chunk).split()
+    if len(toks) != 4 * len(chunk) - 1:
+        return False
+    k = len(ws)
+    try:
+        org += map(int, toks[0::4])
+        tgt += map(int, toks[1::4])
+        ws += map(int, toks[2::4])
+    except ValueError:
+        pass
+    else:
+        us, vs, cs = org[k:], tgt[k:], ws[k:]
+        if (min(us) >= 0 and max(us) < n and min(vs) >= 0 and max(vs) < n
+                and min(cs) >= -w_limit and max(cs) <= w_limit):
+            return True
+    del org[k:], tgt[k:], ws[k:]
+    return False
 
 
 def serialize(graph: Graph) -> str:

@@ -2,26 +2,26 @@
 
 One queue object holds the incoming edges of every super-vertex of a solve,
 slot v for representative v. All three are built as ``cls(n, org, rep)``,
-where ``rep`` is the solver's ContractionDSU ``parent`` list, and support
-insert(v, eid, cost), extract_min(v), add_constant(v, delta) and merge(a, b).
-The caller merges right after joining a's and b's DSU sets: b's edges fold
-into a's, the union lands in slot ``rep[a]`` and the other slot is emptied.
-``load(graph)`` fills a new queue with every edge of the graph except
+where ``rep`` is the solver's ContractionDSU ``parent`` list. ``load(graph)``
+fills a new queue once; after it come extract_min(v), add_constant(v,
+delta) and merge(a, b). The caller merges right after joining a's and b's
+DSU sets: b's edges fold into a's, the union lands in slot ``rep[a]`` and
+the other slot is emptied. ``load`` takes every edge of the graph except
 self-loops and edges into the root, which can never be picked, each in
-slot ``tgt[eid]`` at cost ``w[eid]``. It drains exactly like one insert per
-edge. MatrixQueue loads by inserting. SilQueue appends to each slot's
-list and heapifies it once. LazyHeapQueue sorts all edge ids by cost,
-stably so that ties stay in id order, and links each slot's edges into a
-left spine: every node's only child is the next dearer edge. A sorted
-left spine is a valid skew heap with no right child anywhere, so it is
-built without a meld and adds nothing to the melds' amortized cost.
+slot ``tgt[eid]`` at cost ``w[eid]``. MatrixQueue keeps the cheapest edge
+per origin in each slot's row. SilQueue appends to each slot's list and
+heapifies it once. LazyHeapQueue sorts all edge ids by cost, stably so that
+ties stay in id order, and links each slot's edges into a left spine: every
+node's only child is the next dearer edge. A sorted left spine is a valid
+skew heap with no right child anywhere, so it is built without a meld and
+adds nothing to the melds' amortized cost.
 ``counters()`` reports the work of the whole solve. Ties on equal cost
 break toward the smaller edge id in every strategy, so the three strategies
 produce identical traces. ggst's traces can differ from them: its choice
 among equal-cost edges depends on the shape of its active forest.
 
-MatrixQueue and SilQueue store one int per edge, ``_key(cost - offset[v],
-eid, m)`` with m = ``len(org)``, the key the active forest orders by: int
+MatrixQueue and SilQueue store one int per edge, ``(cost - offset[v]) * m
++ eid`` with m = ``len(org)``, the key the active forest orders by: int
 order is (cost, edge id) order, ``divmod(key, m)`` gives back the cost and
 the id, a shift by d is ``offset[v] += d``, and a merge rebases the moved
 keys by the offset difference times m. LazyHeapQueue keeps (cost, edge id)
@@ -46,21 +46,16 @@ INT64_MAX = 2**63 - 1
 EMPTY = INT64_MAX  # a free matrix cell; dearer than every stored key
 
 
-def _key(cost: int, eid: int, m: int) -> int:
-    """The int that orders edges by (cost, edge id), for edge ids below m;
-    ``divmod(key, m)`` gives back (cost, eid)."""
-    return cost * m + eid
-
-
 class MatrixQueue:
     """Per super-vertex, one int64 row of per-origin best edge keys.
 
-    Cell s of slot v's row holds ``_key(cost - offset[v], eid, m)`` for the
+    Cell s of slot v's row holds ``(cost - offset[v]) * m + eid`` for the
     cheapest edge into v from origin super-vertex s, or EMPTY. A row is an
-    ``array('q')`` copy of one EMPTY template, allocated on the slot's first
-    insert; the collector does not walk its cells. At most one entry per
-    origin ``rep[org[eid]]`` is kept (the cheaper). ``add_constant`` only
-    moves the slot's offset, and a merge rebases b's keys into a's offset.
+    ``array('q')`` copy of one EMPTY template, allocated when the slot
+    first receives an edge; the collector does not walk its cells. At most
+    one entry per origin ``rep[org[eid]]`` is kept (the cheaper).
+    ``add_constant`` only moves the slot's offset, and a merge rebases b's
+    keys into a's offset.
 
     **The int64 bound.** Let W be the largest |weight| of the graph. In a
     Tarjan solve every current cost lies in [-W, 2W]: a slot is shifted by
@@ -106,24 +101,21 @@ class MatrixQueue:
                 "tarjan-matrix keys must fit in 64 bits: (2W(n + 1) + 1) * m "
                 f"may be at most 2**63 - 1, with W = {big}, the largest "
                 f"|weight|, n = {graph.n} and m = {m}")
-        insert = self.insert
+        rows, occupied, count = self.row, self.occupied, self.count
         root = graph.root
+        # a fresh queue: rep is the identity and every offset is 0
         for eid, (u, v, c) in enumerate(zip(graph.org, graph.tgt, w)):
             if v != root and u != v:
-                insert(v, eid, c)
-
-    def insert(self, v: int, eid: int, cost: int) -> None:
-        row = self.row[v]
-        if row is None:
-            row = self.row[v] = self.blank[:]
-        s = self.rep[self.org[eid]]
-        key = _key(cost - self.offset[v], eid, self.m)
-        cell = row[s]
-        if key < cell:
-            if cell == EMPTY:
-                self.occupied[v].append(s)
-                self.count[v] += 1
-            row[s] = key
+                row = rows[v]
+                if row is None:
+                    row = rows[v] = self.blank[:]
+                key = c * m + eid
+                cell = row[u]
+                if key < cell:
+                    if cell == EMPTY:
+                        occupied[v].append(u)
+                        count[v] += 1
+                    row[u] = key
 
     def _prune(self, v: int):
         """Slot v's row and its live slots, stale ones dropped; a scan
@@ -185,7 +177,7 @@ class LazyHeapQueue:
 
     The nodes are edge ids: ``cost``, ``delta``, ``left`` and ``right`` are
     indexed by edge id, with -1 for no child, and ``root[v]`` is slot v's
-    root. Each edge is inserted at most once, so it lives in at most one
+    root. Each edge is loaded at most once, so it lives in at most one
     heap. ``melds`` counts merges.
     """
 
@@ -259,10 +251,6 @@ class LazyHeapQueue:
             left[x] = pending
             x = pending
 
-    def insert(self, v: int, eid: int, cost: int) -> None:
-        self.cost[eid] = cost
-        self.root[v] = self._meld(self.root[v], eid)
-
     def extract_min(self, v: int):
         x = self.root[v]
         if x < 0:
@@ -288,7 +276,7 @@ class LazyHeapQueue:
 
 
 class SilQueue:
-    """Per super-vertex, a heapq of ``_key(cost - offset, eid, m)`` ints;
+    """Per super-vertex, a heapq of ``(cost - offset) * m + eid`` ints;
     add_constant bumps the slot's offset.
 
     Merge moves the smaller heap's keys into the larger, rebasing each by
@@ -313,15 +301,12 @@ class SilQueue:
                 "list_merge_scan": self.list_merge_scan}
 
     def load(self, graph) -> None:
-        heap, root, m, key = self.heap, graph.root, self.m, _key
+        heap, root, m = self.heap, graph.root, self.m
         for eid, (u, v, w) in enumerate(zip(graph.org, graph.tgt, graph.w)):
             if v != root and u != v:
-                heap[v].append(key(w, eid, m))
+                heap[v].append(w * m + eid)
         for h in heap:
             heapq.heapify(h)
-
-    def insert(self, v: int, eid: int, cost: int) -> None:
-        heapq.heappush(self.heap[v], _key(cost - self.offset[v], eid, self.m))
 
     def extract_min(self, v: int):
         heap = self.heap[v]

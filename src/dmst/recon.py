@@ -159,11 +159,11 @@ def reconstruct(result: SolveResult, leaf_of: dict[int, int], graph: Graph,
 
 
 def is_arborescence(graph: Graph, edge_ids) -> bool:
-    """True iff edge_ids form a spanning arborescence rooted at graph.root:
-    in-degree 1 everywhere but the root, and everything reachable."""
+    """True iff edge_ids are graph edges forming a spanning arborescence at
+    graph.root: in-degree 1 everywhere but the root, everything reachable."""
     n, root = graph.n, graph.root
     ids = list(edge_ids)
-    if len(ids) != n - 1:
+    if len(ids) != n - 1 or not all(0 <= eid < len(graph.w) for eid in ids):
         return False
     indeg = [0] * n
     adj: list[list[int]] = [[] for _ in range(n)]

@@ -1,8 +1,10 @@
 import random
+from unittest import mock
 
 import pytest
 
 from dmst import Graph, ParseError, ggst_solve, parse_edge_list, tarjan_solve
+from dmst import graph as graph_mod
 
 G_ONE_TEXT = "1 0 0\n"
 G_TRI_TEXT = "3 4 0\n0 1 5\n0 2 7\n1 2 1\n2 1 1\n"
@@ -50,6 +52,14 @@ def random_instance(rng: random.Random, max_n: int = 8, max_m: int = 20,
         tgt.append(rng.randrange(n))
         w.append(rng.randint(w_lo, w_hi))
     return Graph(n, rng.randrange(n), org, tgt, w)
+
+
+def parse_line_by_line(text: str) -> Graph:
+    """``parse_edge_list`` with its columnar chunk reader refused, so every
+    edge line is read on its own: the reference the chunked reading must
+    match."""
+    with mock.patch.object(graph_mod, "_columns", lambda *args: False):
+        return parse_edge_list(text)
 
 
 def parse_outcome(parse, text: str):

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from conftest import G_CYC_TEXT, G_TRI_TEXT, SOLVERS, parse_outcome
+from conftest import (G_CYC_TEXT, G_TRI_TEXT, SOLVERS, parse_line_by_line,
+                      parse_outcome)
 from dmst import (Edge, Graph, ParseError, SplitMix64, attach_super_root,
                   build_leaf_map, gen_er_rooted, parse_edge_list,
                   parse_plain_edge_list, reconstruct, sample_weights,
                   serialize, weak_components)
 from dmst import graph as graph_mod
-from dmst.graph import W_LIMIT, _parse_lines
+from dmst.graph import PARSE_CHUNK, W_LIMIT
 
 
 def test_parse_tri():
@@ -76,25 +77,51 @@ def test_weight_bound():
 ])
 def test_bulk_parse_matches_line_parser(text):
     assert (parse_outcome(parse_edge_list, text)
-            == parse_outcome(lambda t: _parse_lines(t.splitlines()), text))
+            == parse_outcome(parse_line_by_line, text))
 
 
 def test_generated_instances_take_the_bulk_path(monkeypatch):
-    # several chunks: a later chunk's error still names its line
+    # several chunks, each taken whole; a later chunk's error still names
+    # its line
     g = gen_er_rooted(3000, 9000, 100, 5)
     text = serialize(g)
-    assert parse_edge_list(text) == g
+    columns, taken = graph_mod._columns, []
 
-    def refuse(lines):
-        raise AssertionError("line parser used")
+    def spy(*args):
+        taken.append(columns(*args))
+        return taken[-1]
 
-    monkeypatch.setattr(graph_mod, "_parse_lines", refuse)
+    monkeypatch.setattr(graph_mod, "_columns", spy)
     assert parse_edge_list(text) == g
+    assert len(taken) == -(-9000 // PARSE_CHUNK) and all(taken)
     monkeypatch.undo()
     lines = text.splitlines()
     lines[8500] = "0 3000 1"
     with pytest.raises(ParseError, match="^index out of range, line 8501$"):
         parse_edge_list("\n".join(lines))
+
+
+def test_refused_chunk_leaves_the_columns_as_they_were():
+    cols = [[7], [8], [9]]
+    for chunk in (["0 1 3", "1 x 2"], ["0 1 3", "1 2 2"], ["0 1"], [""]):
+        assert not graph_mod._columns(chunk, 2, W_LIMIT, *cols)
+        assert cols == [[7], [8], [9]]
+    assert graph_mod._columns(["0 1 3", "1 0 -2"], 2, W_LIMIT, *cols)
+    assert cols == [[7, 0, 1], [8, 1, 0], [9, 3, -2]]
+
+
+def test_refused_chunk_between_whole_ones():
+    # CRLF ends and one blank line, which refuses one chunk: the graph and
+    # a later chunk's error are those of reading every line on its own
+    g = gen_er_rooted(200, 1200, 50, 3)
+    lines = serialize(g).splitlines()
+    lines.insert(400, "")
+    text = "\r\n".join(lines)
+    assert parse_edge_list(text) == parse_line_by_line(text) == g
+    lines[1100] = "0 1"
+    with pytest.raises(ParseError, match="^edge line must be 'u v w', "
+                                         "line 1101$"):
+        parse_edge_list("\r\n".join(lines))
 
 
 def test_edges_view_is_cached_and_positional():

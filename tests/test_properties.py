@@ -1,8 +1,10 @@
 """Property tests on small arbitrary graphs: negative weights, parallel
-edges, self-loops, edges into the root and infeasible inputs; and on texts
-in or near the instance format, which the bulk parser must read exactly as
-the line parser does. A failure shrinks to a minimal example. Examples are
-derandomized, so every run draws the same ones."""
+edges, self-loops, edges into the root and infeasible inputs, also with the
+edges into one vertex shifted by a constant; on texts in or near the
+instance format, which the chunked parser must read exactly as it does with
+every edge line read on its own; and on konect-style ``u v`` texts through
+the super-root pipeline. A failure shrinks to a minimal example. Examples
+are derandomized, so every run draws the same ones."""
 
 from dataclasses import replace
 
@@ -12,19 +14,19 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import SOLVERS, parse_outcome  # noqa: E402
-from dmst import (Graph, Infeasible, build_leaf_map,  # noqa: E402
-                  ggst_solve, is_arborescence, naive_edmonds,
-                  parse_edge_list, reconstruct)
-from dmst.graph import _parse_lines  # noqa: E402
+from conftest import SOLVERS, parse_line_by_line, parse_outcome  # noqa: E402
+from dmst import (Graph, Infeasible, attach_super_root,  # noqa: E402
+                  build_leaf_map, ggst_solve, is_arborescence, naive_edmonds,
+                  parse_edge_list, parse_plain_edge_list, reconstruct,
+                  sample_weights, weak_components)
 
 PROPS = settings(max_examples=250, deadline=None, derandomize=True,
                  database=None)
 
 
 @st.composite
-def graphs(draw, max_n: int = 8, max_m: int = 20) -> Graph:
-    n = draw(st.integers(1, max_n))
+def graphs(draw, max_n: int = 8, max_m: int = 20, min_n: int = 1) -> Graph:
+    n = draw(st.integers(min_n, max_n))
     vertex = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(-20, 20)),
                           max_size=max_m))
@@ -59,6 +61,48 @@ def test_weight_ignores_edge_order(data):
         want = weight_or_infeasible(lambda h: solve(h).total_weight, g)
         assert weight_or_infeasible(lambda h: solve(h).total_weight,
                                     shuffled) == want, name
+
+
+@PROPS
+@given(st.data())
+def test_shift_into_one_vertex_shifts_the_optimum(data):
+    # every arborescence has exactly one edge into each non-root vertex
+    g = data.draw(graphs(min_n=2))
+    v = (g.root + data.draw(st.integers(1, g.n - 1))) % g.n
+    d = data.draw(st.integers(-30, 30))
+    shifted = replace(g, w=[c + d if t == v else c
+                            for t, c in zip(g.tgt, g.w)])
+    for name, solve in SOLVERS.items():
+        want = weight_or_infeasible(lambda h: solve(h).total_weight, g)
+        got = weight_or_infeasible(lambda h: solve(h).total_weight, shifted)
+        assert got == (want if want is Infeasible else want + d), name
+
+
+@st.composite
+def konect_texts(draw) -> str:
+    """A headerless ``u v`` list with sparse labels, some lines carrying a
+    third column, and ``%`` or ``#`` comment lines among them."""
+    label = st.integers(0, 40).map(str)
+    line = st.one_of(st.tuples(label, label).map(" ".join),
+                     st.tuples(label, label, label).map("\t".join),
+                     st.sampled_from(["% comment", "# 1 2"]))
+    pair = st.tuples(label, label).map(" ".join)
+    return "\n".join(draw(st.lists(line, max_size=20)) + [draw(pair)]) + "\n"
+
+
+@PROPS
+@given(konect_texts(), st.integers(0, 2**32), st.integers(1, 50))
+def test_super_root_pipeline_is_feasible_and_exact(text, seed, max_w):
+    plain = parse_plain_edge_list(text)
+    g = attach_super_root(sample_weights(plain, seed, max_w))
+    want = naive_edmonds(g)
+    for name, solve in SOLVERS.items():
+        assert solve(g).total_weight == want, name
+    comp = weak_components(plain.n, zip(plain.org, plain.tgt))
+    sizes = {c: comp.count(c) for c in comp}
+    members = {comp[v] for v in g.orig_ids}
+    assert len(members) == 1 and sizes[members.pop()] == len(g.orig_ids)
+    assert len(g.orig_ids) == max(sizes.values())
 
 
 @PROPS
@@ -114,4 +158,4 @@ def edge_list_texts(draw) -> str:
 @given(edge_list_texts())
 def test_parse_matches_line_parser(text):
     assert (parse_outcome(parse_edge_list, text)
-            == parse_outcome(lambda t: _parse_lines(t.splitlines()), text))
+            == parse_outcome(parse_line_by_line, text))

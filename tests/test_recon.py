@@ -4,7 +4,7 @@ import time
 import pytest
 
 from conftest import SOLVERS, random_instance
-from dmst import (Infeasible, SolveTimeout, brute_force, build_leaf_map,
+from dmst import (Graph, Infeasible, SolveTimeout, brute_force, build_leaf_map,
                   gen_antilemon, ggst_solve, is_arborescence, reconstruct,
                   tarjan_solve)
 from dmst.recon import PickLog
@@ -69,6 +69,11 @@ def test_is_arborescence_rejects_bad_sets(g_tri):
     assert not is_arborescence(g_tri, [0, 1, 2])    # too many
     assert not is_arborescence(g_tri, [2, 3])       # root unreachable
     assert not is_arborescence(g_tri, [0, 3])       # in-degree 2 on vertex 1
+    # ids that are not edges: a negative one must not index from the end
+    g = Graph(2, 0, [0, 1], [1, 0], [1, 1])
+    assert is_arborescence(g, [0])
+    assert not is_arborescence(g, [-2])
+    assert not is_arborescence(g, [5])
 
 
 def test_random_instances_reconstruct_exactly():
