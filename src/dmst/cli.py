@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import gc
+import math
 import sys
 import time
 from pathlib import Path
@@ -190,6 +191,8 @@ def _cmd_bench(args, parser: _Parser) -> int:
             parser.error(f"unknown algorithm {algo!r}")
     if args.reps < 1:
         parser.error("reps must be positive")
+    if args.timeout is not None and math.isnan(args.timeout):
+        parser.error("timeout must be a number of seconds, not nan")
 
     csv_path = Path(args.csvfile)
     try:

@@ -15,7 +15,7 @@ from .dsu import PlainDSU
 from .errors import ParseError
 
 # Bounds on input weights, tighter for large vertex counts; they validate
-# outside input. Only tarjan-matrix stores int64 keys, and its load checks
+# outside input. Only tarjan-matrix stores int64 keys, and its queue checks
 # its own key bound; the other configurations hold Python ints.
 W_LIMIT = 2**32
 W_LIMIT_BIG_N = 2**24

@@ -1,12 +1,12 @@
 """Incoming-edge-set strategies for the contraction solver.
 
 One queue object holds the incoming edges of every super-vertex of a solve,
-slot v for representative v. All three are built as ``cls(n, org, rep)``,
-where ``rep`` is the solver's ContractionDSU ``parent`` list. ``load(graph)``
-fills a new queue once; after it come extract_min(v), add_constant(v,
-delta) and merge(a, b). The caller merges right after joining a's and b's
-DSU sets: b's edges fold into a's, the union lands in slot ``rep[a]`` and
-the other slot is emptied. ``load`` takes every edge of the graph except
+slot v for representative v. All three are built whole as ``cls(graph,
+rep)``, where ``rep`` is the solver's ContractionDSU ``parent`` list, still
+the identity; after it come extract_min(v), add_constant(v, delta) and
+merge(a, b). The caller merges right after joining a's and b's DSU sets:
+b's edges fold into a's, the union lands in slot ``rep[a]`` and the other
+slot is emptied. The constructor takes every edge of the graph except
 self-loops and edges into the root, which can never be picked, each in
 slot ``tgt[eid]`` at cost ``w[eid]``. MatrixQueue keeps the cheapest edge
 per origin in each slot's row. SilQueue appends to each slot's list and
@@ -21,7 +21,7 @@ produce identical traces. ggst's traces can differ from them: its choice
 among equal-cost edges depends on the shape of its active forest.
 
 MatrixQueue and SilQueue store one int per edge, ``(cost - offset[v]) * m
-+ eid`` with m = ``len(org)``, the key the active forest orders by: int
++ eid`` with m the edge count, the key the active forest orders by: int
 order is (cost, edge id) order, ``divmod(key, m)`` gives back the cost and
 the id, a shift by d is ``offset[v] += d``, and a merge rebases the moved
 keys by the offset difference times m. LazyHeapQueue keeps (cost, edge id)
@@ -50,12 +50,13 @@ class MatrixQueue:
     """Per super-vertex, one int64 row of per-origin best edge keys.
 
     Cell s of slot v's row holds ``(cost - offset[v]) * m + eid`` for the
-    cheapest edge into v from origin super-vertex s, or EMPTY. A row is an
-    ``array('q')`` copy of one EMPTY template, allocated when the slot
-    first receives an edge; the collector does not walk its cells. At most
-    one entry per origin ``rep[org[eid]]`` is kept (the cheaper).
-    ``add_constant`` only moves the slot's offset, and a merge rebases b's
-    keys into a's offset.
+    cheapest edge into v from origin super-vertex s, or EMPTY. Every row
+    is an ``array('q')`` copy of one EMPTY template, allocated with the
+    queue; the collector does not walk its cells. ``occupied[v]`` lists
+    exactly the cells of v's row that hold a key, so an empty slot is an
+    empty list. At most one entry per origin ``rep[org[eid]]`` is kept (the
+    cheaper). ``add_constant`` only moves the slot's offset, and a merge
+    rebases b's keys into a's offset.
 
     **The int64 bound.** Let W be the largest |weight| of the graph. In a
     Tarjan solve every current cost lies in [-W, 2W]: a slot is shifted by
@@ -63,76 +64,63 @@ class MatrixQueue:
     [0, 2W]. A slot's offset sums at most n shifts, each in [-2W, W], so a
     stored cost ``cost - offset`` has magnitude at most 2W(n + 1) and every
     key lies strictly between -2**63 and EMPTY when
-    ``(2W(n + 1) + 1) * m <= 2**63 - 1``. ``load`` checks this before it
-    allocates a row and raises ValueError naming the limit beyond it.
+    ``(2W(n + 1) + 1) * m <= 2**63 - 1``. The constructor checks this, and
+    the vertex limit, before it allocates a row and raises ValueError
+    naming the limit beyond it.
     """
 
-    __slots__ = ("m", "org", "rep", "row", "blank", "offset", "occupied",
-                 "count", "cells_scanned")
+    __slots__ = ("m", "org", "rep", "row", "offset", "occupied",
+                 "cells_scanned")
 
-    def __init__(self, n: int, org: list[int], rep: list[int]):
+    def __init__(self, graph, rep: list[int]):
+        n, w, m = graph.n, graph.w, len(graph.org)
         if n > MATRIX_MAX_N:
             raise ValueError(f"tarjan-matrix takes at most {MATRIX_MAX_N} "
                              f"vertices, the instance has {n}")
-        self.m = len(org)
-        self.org = org
+        big = max(max(w, default=0), -min(w, default=0))
+        if (2 * big * (n + 1) + 1) * m > INT64_MAX:
+            raise ValueError(
+                "tarjan-matrix keys must fit in 64 bits: (2W(n + 1) + 1) * m "
+                f"may be at most 2**63 - 1, with W = {big}, the largest "
+                f"|weight|, n = {n} and m = {m}")
+        self.m = m
+        self.org = graph.org
         self.rep = rep
         # imported here: the extension module adds about 0.3 MB to the
         # resident size of every process that imports dmst
         from array import array
 
-        self.row: list = [None] * n
-        self.blank = array("q", [EMPTY]) * n
+        blank = array("q", [EMPTY]) * n
+        rows = self.row = [blank[:] for _ in range(n)]
         self.offset = [0] * n
-        # slots that went EMPTY -> key; may hold stale (re-cleared)
-        # entries, pruned during scans
-        self.occupied: list[list[int]] = [[] for _ in range(n)]
-        self.count = [0] * n
+        # the cells of each slot's row that hold a key
+        occupied = self.occupied = [[] for _ in range(n)]
         self.cells_scanned = 0
-
-    def counters(self) -> dict:
-        return {"cells_scanned": self.cells_scanned}
-
-    def load(self, graph) -> None:
-        w, m = graph.w, self.m
-        big = max(max(w, default=0), -min(w, default=0))
-        if (2 * big * (graph.n + 1) + 1) * m > INT64_MAX:
-            raise ValueError(
-                "tarjan-matrix keys must fit in 64 bits: (2W(n + 1) + 1) * m "
-                f"may be at most 2**63 - 1, with W = {big}, the largest "
-                f"|weight|, n = {graph.n} and m = {m}")
-        rows, occupied, count = self.row, self.occupied, self.count
         root = graph.root
-        # a fresh queue: rep is the identity and every offset is 0
+        # rep is still the identity and every offset 0
         for eid, (u, v, c) in enumerate(zip(graph.org, graph.tgt, w)):
             if v != root and u != v:
                 row = rows[v]
-                if row is None:
-                    row = rows[v] = self.blank[:]
                 key = c * m + eid
                 cell = row[u]
                 if key < cell:
                     if cell == EMPTY:
                         occupied[v].append(u)
-                        count[v] += 1
                     row[u] = key
 
-    def _prune(self, v: int):
-        """Slot v's row and its live slots, stale ones dropped; a scan
-        counts every occupied slot it passes."""
-        row, occupied = self.row[v], self.occupied[v]
-        self.cells_scanned += len(occupied)
-        live = self.occupied[v] = [s for s in occupied if row[s] != EMPTY]
-        return row, live
+    def counters(self) -> dict:
+        return {"cells_scanned": self.cells_scanned}
 
     def extract_min(self, v: int):
-        if self.count[v] == 0:
+        live = self.occupied[v]
+        if not live:
             return None
-        row, live = self._prune(v)
+        row = self.row[v]
+        self.cells_scanned += len(live)
         s = min(live, key=row.__getitem__)
+        live.remove(s)
         cost, eid = divmod(row[s], self.m)
         row[s] = EMPTY
-        self.count[v] -= 1
         return eid, cost + self.offset[v]
 
     def add_constant(self, v: int, delta: int) -> None:
@@ -143,33 +131,23 @@ class MatrixQueue:
         b's cells are rebased into a's offset and filed under their
         origins' current representatives, so entries from origins
         contracted since land in one cell."""
-        rows, occupied, count, offset = (self.row, self.occupied, self.count,
-                                         self.offset)
-        if count[b]:
-            row = rows[a]
-            if row is None:
-                row = rows[a] = self.blank[:]
-            rep, org, m, mine = self.rep, self.org, self.m, occupied[a]
-            shift = (offset[b] - offset[a]) * m
-            other = rows[b]
-            for s in occupied[b]:
-                key = other[s]
-                if key == EMPTY:
-                    continue
-                key += shift
-                s2 = rep[org[key % m]]
-                have = row[s2]
-                if key < have:
-                    if have == EMPTY:
-                        mine.append(s2)
-                        count[a] += 1
-                    row[s2] = key
-            self.cells_scanned += len(occupied[b])
-        r = self.rep[a]
+        rows, occupied, offset = self.row, self.occupied, self.offset
+        rep, org, m = self.rep, self.org, self.m
+        row, other, mine = rows[a], rows[b], occupied[a]
+        shift = (offset[b] - offset[a]) * m
+        for s in occupied[b]:
+            key = other[s] + shift
+            s2 = rep[org[key % m]]
+            have = row[s2]
+            if key < have:
+                if have == EMPTY:
+                    mine.append(s2)
+                row[s2] = key
+        self.cells_scanned += len(occupied[b])
+        r = rep[a]
         gone = b if r == a else a
-        rows[r], occupied[r], count[r], offset[r] = (rows[a], occupied[a],
-                                                     count[a], offset[a])
-        rows[gone], occupied[gone], count[gone], offset[gone] = None, [], 0, 0
+        rows[r], occupied[r], offset[r] = row, mine, offset[a]
+        rows[gone], occupied[gone], offset[gone] = None, [], 0
 
 
 class LazyHeapQueue:
@@ -183,28 +161,21 @@ class LazyHeapQueue:
 
     __slots__ = ("rep", "root", "cost", "delta", "left", "right", "melds")
 
-    def __init__(self, n: int, org: list[int], rep: list[int]):
-        m = len(org)
+    def __init__(self, graph, rep: list[int]):
+        n, m = graph.n, len(graph.org)
         self.rep = rep
-        self.root = [-1] * n
-        self.cost = [0] * m
+        root = self.root = [-1] * n
+        cost = self.cost = list(graph.w)
         self.delta = [0] * m
-        self.left = [-1] * m
+        left = self.left = [-1] * m
         self.right = [-1] * m
         self.melds = 0
-
-    def counters(self) -> dict:
-        return {"melds": self.melds}
-
-    def load(self, graph) -> None:
-        """Each slot's edges as a left spine in (cost, edge id) order: one
-        stable sort of all edge ids by cost, then each edge hangs under
-        the last one its slot received."""
+        # each slot's edges as a left spine in (cost, edge id) order: one
+        # stable sort of all edge ids by cost, then each edge hangs under
+        # the last one its slot received
         groot, org, tgt = graph.root, graph.org, graph.tgt
-        cost, left, root = self.cost, self.left, self.root
-        cost[:] = graph.w
-        tail = root[:]
-        for eid in sorted(range(len(cost)), key=cost.__getitem__):
+        tail = [-1] * n
+        for eid in sorted(range(m), key=cost.__getitem__):
             v = tgt[eid]
             if v != groot and org[eid] != v:
                 t = tail[v]
@@ -213,6 +184,9 @@ class LazyHeapQueue:
                 else:
                     left[t] = eid
                 tail[v] = eid
+
+    def counters(self) -> dict:
+        return {"melds": self.melds}
 
     def _meld(self, x: int, y: int) -> int:
         # iterative skew-heap meld; recursion depth on these heaps is only
@@ -288,25 +262,23 @@ class SilQueue:
 
     __slots__ = ("m", "rep", "heap", "offset", "moves", "list_merge_scan")
 
-    def __init__(self, n: int, org: list[int], rep: list[int]):
-        self.m = len(org)
+    def __init__(self, graph, rep: list[int]):
+        m = self.m = len(graph.org)
         self.rep = rep
-        self.heap: list[list[int]] = [[] for _ in range(n)]
-        self.offset = [0] * n
+        heap = self.heap = [[] for _ in range(graph.n)]
+        self.offset = [0] * graph.n
         self.moves = 0
         self.list_merge_scan = 0
-
-    def counters(self) -> dict:
-        return {"queue_moves": self.moves,
-                "list_merge_scan": self.list_merge_scan}
-
-    def load(self, graph) -> None:
-        heap, root, m = self.heap, graph.root, self.m
+        root = graph.root
         for eid, (u, v, w) in enumerate(zip(graph.org, graph.tgt, graph.w)):
             if v != root and u != v:
                 heap[v].append(w * m + eid)
         for h in heap:
             heapq.heapify(h)
+
+    def counters(self) -> dict:
+        return {"queue_moves": self.moves,
+                "list_merge_scan": self.list_merge_scan}
 
     def extract_min(self, v: int):
         heap = self.heap[v]

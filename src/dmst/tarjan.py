@@ -40,8 +40,7 @@ class TarjanSolver:
         n = graph.n
         self.cdsu = PlainDSU(n)
         self.wdsu = PlainDSU(n)
-        self.queues = STRATEGIES[strategy](n, graph.org, self.cdsu.parent)
-        self.queues.load(graph)
+        self.queues = STRATEGIES[strategy](graph, self.cdsu.parent)
 
     def run(self) -> SolveResult:
         graph = self.graph

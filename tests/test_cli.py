@@ -329,6 +329,29 @@ def test_bench_timeout_zero(tmp_path, capsys):
         assert row[5] == row[6] == row[7] == row[8] == "0.000"
 
 
+def test_bench_refuses_nan_timeout(tmp_path, capsys):
+    # nan compares false with everything, so it would be a budget that
+    # never runs out
+    inp = tmp_path / "tri.txt"
+    inp.write_text(G_TRI_TEXT)
+    out = tmp_path / "bench.csv"
+    assert run_cli(["bench", "--algos", "ggst", "--in", str(inp),
+                    "--timeout", "nan", "--csv", str(out)]) == 64
+    assert "nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_infinite_timeout_is_no_limit(tmp_path, capsys):
+    inp = tmp_path / "tri.txt"
+    inp.write_text(G_TRI_TEXT)
+    out = tmp_path / "bench.csv"
+    code = run_cli(["bench", "--algos", "ggst,tarjan-sil", "--in", str(inp),
+                    "--timeout", "inf", "--csv", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert [(r[4], r[9]) for r in read_rows(out)[1:]] == [("6", "ok")] * 2
+
+
 def test_bench_unreadable_instance_records_error(tmp_path, capsys):
     good = tmp_path / "tri.txt"
     good.write_text(G_TRI_TEXT)

@@ -5,21 +5,20 @@ import pytest
 
 from conftest import random_instance
 from dmst import ContractionDSU, Graph, LazyHeapQueue, MatrixQueue, SilQueue
+from dmst.queues import EMPTY
 
 QUEUES = {"matrix": MatrixQueue, "heap": LazyHeapQueue, "sil": SilQueue}
 KINDS = tuple(QUEUES)
 
 
 def make_queue(kind, n, edges, rep=None):
-    """One queue object with n slots, loaded with ``edges``, (origin,
+    """One queue object with n slots, built from ``edges``, (origin,
     target, cost) triples in id order. Vertex n - 1 is the root, so no case
     targets it. Without a DSU's ``rep``, rep is the identity and a merge
     into slot a lands in slot a."""
     g = Graph(n, n - 1, [e[0] for e in edges], [e[1] for e in edges],
               [e[2] for e in edges])
-    q = QUEUES[kind](n, g.org, list(range(n)) if rep is None else rep)
-    q.load(g)
-    return q
+    return QUEUES[kind](g, list(range(n)) if rep is None else rep)
 
 
 def drain(q, v):
@@ -103,7 +102,7 @@ def test_matrix_merge_respects_resolver():
 def test_matrix_refuses_more_than_its_vertex_limit():
     # raised before any row is allocated
     with pytest.raises(ValueError, match="at most 10000 vertices"):
-        MatrixQueue(10_001, [], list(range(10_001)))
+        MatrixQueue(Graph(10_001, 0, [], [], []), list(range(10_001)))
 
 
 def test_matrix_shift_scans_no_cell():
@@ -186,7 +185,7 @@ def test_sil_move_bound_random_merges():
 
 
 def _run_sequence(seed, nops=30):
-    """Load all three strategies with one random graph, then drive them
+    """Build all three strategies from one random graph, then drive them
     and a dict model through one random op sequence; extraction results
     must agree exactly with the model's sorted minimum. Merges follow a
     real DSU join, so the union lands in whichever slot survives."""
@@ -200,10 +199,7 @@ def _run_sequence(seed, nops=30):
     g = Graph(cap + 3, 0, list(range(k)), tgt,
               [rng.randint(-100, 100) for _ in range(k)])
     d = ContractionDSU(cap + 3)
-    queues = {kind: cls(cap + 3, g.org, d.parent)
-              for kind, cls in QUEUES.items()}
-    for q in queues.values():
-        q.load(g)
+    queues = {kind: cls(g, d.parent) for kind, cls in QUEUES.items()}
     model = {cap + j: {} for j in range(3)}
     for e, (v, c) in enumerate(zip(tgt, g.w)):
         model[v][e] = c
@@ -251,13 +247,13 @@ def test_load_drains_like_per_edge_inserts(kind):
     # ties; a few shifts and DSU-driven merges after loading. The sorted
     # model files each edge as one insert would, keyed by its cell: the
     # edge id, or for the matrix the origin's representative at filing
-    # time, where the cheaper entry is kept
+    # time, where the cheaper entry is kept. The matrix's occupied lists
+    # must name exactly its filled cells after every step
     rng = random.Random(9)
     for _ in range(300):
         g = random_instance(rng, 12, 60, -3, 3)
         d = ContractionDSU(g.n)
-        q = QUEUES[kind](g.n, g.org, d.parent)
-        q.load(g)
+        q = QUEUES[kind](g, d.parent)
 
         def cell(e):
             return d.parent[g.org[e]] if kind == "matrix" else e
@@ -266,10 +262,18 @@ def test_load_drains_like_per_edge_inserts(kind):
             if (c, e) < entries.get(cell(e), (c + 1, e)):
                 entries[cell(e)] = (c, e)
 
+        def check_cells():
+            if kind == "matrix":
+                for v in model:
+                    filled = [s for s, key in enumerate(q.row[v])
+                              if key != EMPTY]
+                    assert sorted(q.occupied[v]) == filled == sorted(model[v])
+
         model = {v: {} for v in range(g.n)}
         for e, (u, v, c) in enumerate(zip(g.org, g.tgt, g.w)):
             if v != g.root and u != v:
                 file(model[v], c, e)
+        check_cells()
         want = {"cells_scanned": 0, "melds": 0, "queue_moves": 0,
                 "list_merge_scan": 0}
         for _ in range(rng.randint(0, g.n)):
@@ -289,9 +293,17 @@ def test_load_drains_like_per_edge_inserts(kind):
             for c, e in model.pop(b).values():
                 file(union, c, e)
             model[survivor] = union
+            check_cells()
         assert q.counters() == {k: want[k] for k in q.counters()}
+        # a matrix extract scans every filled cell of its slot
         for v in sorted(model):
-            assert drain(q, v) == [(e, c) for c, e in sorted(model[v].values())]
+            for s, (c, e) in sorted(model[v].items(), key=lambda it: it[1]):
+                want["cells_scanned"] += len(model[v])
+                assert q.extract_min(v) == (e, c)
+                del model[v][s]
+                check_cells()
+                assert q.counters() == {k: want[k] for k in q.counters()}
+            assert q.extract_min(v) is None
 
 
 def test_heap_meld_counter_moves_on_merge():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -155,10 +156,24 @@ def test_matrix_key_bound_holds_at_its_edge():
         except Infeasible:
             got = None
         assert got == want
-        q = MatrixQueue(n, g.org, list(range(n)))
         with pytest.raises(ValueError, match="64 bits"):
-            q.load(replace(g, w=[big + 1] + g.w[1:]))
-        assert q.row == [None] * n  # refused before any row was allocated
+            MatrixQueue(replace(g, w=[big + 1] + g.w[1:]), list(range(n)))
+
+
+def test_matrix_key_refusal_allocates_no_row():
+    # n = 2000 rows of 8n bytes would take 32 MB; the refusal comes first
+    n = 2000
+    big = ((2**63 - 1) // 3 - 1) // (2 * (n + 1))
+    g = Graph(n, 0, [0, 1, 0], [1, 2, 2], [1, big + 1, -5])
+    rep = list(range(n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="64 bits"):
+            MatrixQueue(g, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_counters_expose_strategy_specific_work():
@@ -186,12 +201,12 @@ _ER = (47397, "94ff51d64930d764", "5312a5222b941d74",
 
 @pytest.mark.parametrize("make, strategy, want, own", [
     (lambda: gen_antilemon(300), "matrix", _ANTILEMON,
-     {"cells_scanned": 45748}),
+     {"cells_scanned": 45449}),
     (lambda: gen_antilemon(300), "heap", _ANTILEMON, {"melds": 299}),
     (lambda: gen_antilemon(300), "sil", _ANTILEMON,
      {"queue_moves": 0, "list_merge_scan": 44850}),
     (lambda: gen_er_rooted(2000, 8000, 100, 11), "matrix", _ER,
-     {"cells_scanned": 10211}),
+     {"cells_scanned": 10060}),
     (lambda: gen_er_rooted(2000, 8000, 100, 11), "heap", _ER, {"melds": 149}),
     (lambda: gen_er_rooted(2000, 8000, 100, 11), "sil", _ER,
      {"queue_moves": 597, "list_merge_scan": 17769}),
