@@ -13,12 +13,13 @@ accumulated offset of the edge's target, so bulk cost shifts never touch the
 forest. A query keys each root by one int, ``cost * m + eid`` with m the
 edge count, which orders like ``(cost, eid)`` and gives the cost back as
 ``key // m``. There is no decrease-key and hence no marks or cascading cuts:
-the only structural moves are insert, the constant-time replace (detach,
-re-key, splice into the new home's root list with the subtree riding
-along), delete (children return to their own home heaps), the root-list
-concatenation merge, and the consolidating query. Without cascading cuts a
-rank is bounded only by n - 1, not by O(log n), so the query's rank buckets
-are a reusable list of length n.
+the only structural moves are set_front (in constant time: unhook the
+origin's node if it has one, store the new edge, splice the node into the
+new home's root list with its subtree riding along), delete (children
+return to their own home heaps), the root-list concatenation merge, and
+the consolidating query. Without cascading cuts a rank is bounded only by
+n - 1, not by O(log n), so the query's rank buckets are a reusable list of
+length n.
 
 A node's home heap is the heap of its target's representative,
 ``cdsu.parent[target]``. Three invariants, checked by the debug walk:
@@ -27,7 +28,7 @@ A node's home heap is the heap of its target's representative,
       the growth path head as the child's;
   (3) a parent costs at most its child whenever both share a home heap,
       which is all query_min needs to look at roots only. Edge ids may
-      break the order: replace carries a subtree along to the origin's new
+      break the order: set_front carries a subtree along to the origin's new
       edge in a newer home, and the contraction joining both homes keeps
       the origin's cheapest edge into them, newest target on a tie, so an
       equal-cost parent can hold the larger edge id.
@@ -63,54 +64,21 @@ class ActiveForest:
                 "af_merges": self.merges}
 
     # -- public operations ---------------------------------------------
-    # insert and replace take the edge's home heap, parent[target of eid].
-    # Root-list splices are written out inline on these hot paths; replace
-    # also unhooks inline what _detach unhooks for delete.
+    # Root-list splices are written out inline on the hot paths, set_front
+    # and delete's child loop: a shared splice helper costs a call per
+    # splice and measured 2-8 % slower per ggst solve.
 
-    def insert(self, eid: int, origin: int, home: int) -> None:
+    def set_front(self, origin: int, eid: int, home: int) -> None:
+        """Make eid origin's active edge in home's heap, home being
+        parent[target of eid]; an active node moves with its subtree."""
         if self.eid[origin] >= 0:
-            raise ValueError(f"origin {origin} already has an active edge")
+            self._detach(origin)
         self.eid[origin] = eid
         left, right = self.left, self.right
         entry = self.root_ring[home]
         if entry < 0:
             left[origin] = right[origin] = origin
             self.root_ring[home] = origin
-        else:
-            tail = left[entry]
-            left[origin] = tail
-            right[origin] = entry
-            right[tail] = origin
-            left[entry] = origin
-
-    def replace(self, origin: int, new_eid: int, home: int) -> None:
-        eid = self.eid
-        old = eid[origin]
-        if old < 0:
-            raise ValueError(f"origin {origin} has no active edge")
-        left, right, root_ring = self.left, self.right, self.root_ring
-        r = right[origin]
-        if r != origin:
-            lx = left[origin]
-            right[lx] = r
-            left[r] = lx
-        else:
-            r = -1
-        p = self.parent[origin]
-        if p >= 0:
-            if self.child[p] == origin:
-                self.child[p] = r
-            self.rank[p] -= 1
-            self.parent[origin] = -1
-        else:
-            old_home = self.cdsu.parent[self.tgt[old]]
-            if root_ring[old_home] == origin:
-                root_ring[old_home] = r
-        eid[origin] = new_eid
-        entry = root_ring[home]
-        if entry < 0:
-            left[origin] = right[origin] = origin
-            root_ring[home] = origin
         else:
             tail = left[entry]
             left[origin] = tail
@@ -190,7 +158,7 @@ class ActiveForest:
 
     def query_min(self, head: int):
         """Minimum-cost active edge into the head's heap, as a tuple
-        (owner, edge id, current cost); None on an empty heap.
+        (edge id, current cost); None on an empty heap.
 
         Consolidates the root list by equal-rank linking. By invariant (1)
         every root in the list has its home here, so each is keyed with
@@ -261,7 +229,7 @@ class ActiveForest:
         right[prev] = first
         left[first] = prev
         root_ring[head] = first
-        return best, eid[best], best_key // m
+        return eid[best], best_key // m
 
     # -- debug walk ------------------------------------------------------
 
@@ -289,28 +257,28 @@ class ActiveForest:
             assert cdsu.parent[ring_rep] == ring_rep, "ring keyed by non-representative"
             for root in self._ring(entry):
                 assert self.parent[root] < 0
-                home, _ = cdsu.find_offset(tgt[eid[root]])
-                assert home == ring_rep, "root outside its home heap"  # (1)
+                assert cdsu.parent[tgt[eid[root]]] == ring_rep, \
+                    "root outside its home heap"  # (1)
                 stack = [root]
                 while stack:
                     x = stack.pop()
                     assert eid[x] >= 0, "forest holds an origin without an edge"
                     seen += 1
-                    n_home, n_pend = cdsu.find_offset(tgt[eid[x]])
+                    n_home = cdsu.parent[tgt[eid[x]]]
                     c = self.child[x]
                     if c < 0:
                         assert self.rank[x] == 0
                         continue
                     kids = self._ring(c)
                     assert len(kids) == self.rank[x], "rank is not the child count"
-                    n_cost = w[eid[x]] + n_pend
+                    n_cost = w[eid[x]] + cdsu.offset(tgt[eid[x]])
                     for kid in kids:
                         assert self.parent[kid] == x
-                        k_home, k_pend = cdsu.find_offset(tgt[eid[kid]])
+                        k_home = cdsu.parent[tgt[eid[kid]]]
                         assert path_index[n_home] >= path_index[k_home], \
                             "child outranks parent"  # (2)
                         if n_home == k_home:
-                            assert n_cost <= w[eid[kid]] + k_pend, \
+                            assert n_cost <= w[eid[kid]] + cdsu.offset(tgt[eid[kid]]), \
                                 "heap order violated in home heap"  # (3)
                         stack.append(kid)
         owners = sum(e >= 0 for e in eid)

@@ -61,9 +61,9 @@ class PlainDSU:
 class ContractionDSU(PlainDSU):
     """Union-find with an additive offset applied to whole sets.
 
-    The current cost of an edge is its stored weight plus the offset of its
+    The current cost of an edge is its stored weight plus ``offset`` of its
     target. ``off[rep]`` is the offset of rep's whole set; a member's entry
-    is relative to its representative.
+    is relative to its representative, which callers read from ``parent``.
     """
 
     __slots__ = ("off",)
@@ -72,12 +72,12 @@ class ContractionDSU(PlainDSU):
         super().__init__(n)
         self.off = [0] * n
 
-    def find_offset(self, v: int) -> tuple[int, int]:
-        """Representative of v and v's offset, the set's included."""
+    def offset(self, v: int) -> int:
+        """v's offset, the set's included."""
         r = self.parent[v]
         if r == v:
-            return r, self.off[v]
-        return r, self.off[v] + self.off[r]
+            return self.off[v]
+        return self.off[v] + self.off[r]
 
     def _relabel(self, ra: int, rb: int) -> None:
         # rb's members keep their accumulated value, now relative to ra

@@ -10,17 +10,19 @@ growth restarts at the lowest-index uncovered vertex.
 
 Each origin super-vertex x has at most one active edge, its front
 ``af.eid[x]`` in the ActiveForest: its edge into the newest path vertex it
-reaches, the cheaper of a parallel pair. A new head's edges replace fronts,
-and each replaced front is demoted into ``passive[t]`` of its target t, the
-only record of demoted edges. A contraction shifts member costs, deletes the
-members' own fronts (their edges became self-loops) and folds the members'
-passive lists, newest member first: an entry whose origin lies outside the
-merged vertex replaces that origin's front when strictly cheaper at current
-cost. That leaves one edge per origin into the merged vertex, the cheapest,
-newest target on a tie. Entries whose origin was contracted into a later
-path vertex are dropped by the fold that takes in both. A covered vertex
-is never contracted, so finalizing a path frees its passive lists and a
-front into a covered vertex is dropped instead of demoted.
+reaches, the cheaper of a parallel pair, set by ``af.set_front`` whether
+or not x had one. A new head's edges become fronts, and each replaced
+front is demoted into ``passive[t]`` of its target t, the only record of
+demoted edges. A contraction shifts member costs in the DSU offsets,
+deletes the members' own fronts (their edges became self-loops) and folds
+the members' passive lists, newest member first: an entry whose origin
+lies outside the merged vertex becomes that origin's front when strictly
+cheaper at current cost (weight plus ``cdsu.offset`` of the target). That
+leaves one edge per origin into the merged vertex, the cheapest, newest
+target on a tie. Entries whose origin was contracted into a later path
+vertex are dropped by the fold that takes in both. A covered vertex is
+never contracted, so finalizing a path frees its passive lists and a front
+into a covered vertex is dropped instead of demoted.
 """
 
 from __future__ import annotations
@@ -71,19 +73,16 @@ class GgstSolver:
             if x == u:
                 continue
             f = front[x]
-            if f < 0:
-                af.insert(eid, x, u)
-                continue
-            tf = parent[tgt[f]]
-            if tf == u:
-                # f came earlier in this loop: on a cost tie it keeps the
-                # smaller edge id
-                if w[eid] < w[f]:
-                    af.replace(x, eid, u)
-                continue
-            if not covered[tf]:
-                passive[tf].append(f)
-            af.replace(x, eid, u)
+            if f >= 0:
+                tf = parent[tgt[f]]
+                if tf == u:
+                    # f came earlier in this loop: on a cost tie it keeps
+                    # the smaller edge id
+                    if w[eid] >= w[f]:
+                        continue
+                elif not covered[tf]:
+                    passive[tf].append(f)
+            af.set_front(x, eid, u)
 
     def run(self) -> SolveResult:
         graph = self.graph
@@ -119,7 +118,7 @@ class GgstSolver:
             res = af.query_min(head)
             if res is None:
                 raise Infeasible
-            _owner, eid, cost = res
+            eid, cost = res
             log.pick(head, eid, cost)
             u = parent[org[eid]]
             j = path_index[u]
@@ -136,7 +135,7 @@ class GgstSolver:
                 if debug:
                     for r in members:
                         e2 = log.edge_of(r)
-                        assert w[e2] + cdsu.find_offset(tgt[e2])[1] == 0, \
+                        assert w[e2] + cdsu.offset(tgt[e2]) == 0, \
                             "cycle edge cost not zeroed"
                 for r in members:
                     if front[r] >= 0:
@@ -150,9 +149,9 @@ class GgstSolver:
                         if b in mem_set:
                             continue
                         f = front[b]
-                        if (w[e2] + cdsu.find_offset(tgt[e2])[1]
-                                < w[f] + cdsu.find_offset(tgt[f])[1]):
-                            af.replace(b, e2, parent[tgt[e2]])
+                        if (w[e2] + cdsu.offset(tgt[e2])
+                                < w[f] + cdsu.offset(tgt[f])):
+                            af.set_front(b, e2, parent[tgt[e2]])
                 merged = members[0]
                 for r in members[1:]:
                     a = merged

@@ -56,6 +56,8 @@ class Graph:
 
 def _parse_int(tok: str, lineno: int) -> int:
     try:
+        if "_" in tok:  # int alone reads "5_0" as 50
+            raise ValueError
         return int(tok)
     except ValueError:
         raise ParseError(f"not an integer {tok!r}, line {lineno}") from None
@@ -127,10 +129,12 @@ def _columns(chunk: list[str], n: int, w_limit: int, org: list[int],
     tokens and ``int`` takes every column token, no ``;`` sits in a column,
     so the k - 1 separators fill the positions 3, 7, ... in order and every
     line has three tokens. The new values are then range-checked with
-    min/max.
+    min/max. A chunk holding ``_`` is refused, as :func:`_parse_int`
+    refuses the token.
     """
-    toks = " ; ".join(chunk).split()
-    if len(toks) != 4 * len(chunk) - 1:
+    text = " ; ".join(chunk)
+    toks = text.split()
+    if "_" in text or len(toks) != 4 * len(chunk) - 1:
         return False
     k = len(ws)
     try:

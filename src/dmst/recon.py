@@ -124,7 +124,7 @@ def build_leaf_map(result: SolveResult, graph: Graph) -> dict[int, int]:
 
 def reconstruct(result: SolveResult, leaf_of: dict[int, int], graph: Graph,
                 *, debug: bool = False) -> list[int]:
-    """Edge ids of the minimum arborescence, exactly n-1 of them.
+    """Edge ids of the minimum arborescence, one per non-root vertex.
 
     Super-root sentinel edges are emitted like any other edge; callers that
     prepared the instance themselves strip them afterwards.
@@ -149,7 +149,7 @@ def reconstruct(result: SolveResult, leaf_of: dict[int, int], graph: Graph,
     if debug:
         if visits > len(picked):
             raise RuntimeError("reconstruction revisited a forest node")
-        if len(out) != graph.n - 1:
+        if len(out) != max(graph.n - 1, 0):
             raise RuntimeError(f"emitted {len(out)} edges, expected {graph.n - 1}")
         if not is_arborescence(graph, out):
             raise RuntimeError("emitted edge set is not an arborescence")
@@ -163,6 +163,8 @@ def is_arborescence(graph: Graph, edge_ids) -> bool:
     graph.root: in-degree 1 everywhere but the root, everything reachable."""
     n, root = graph.n, graph.root
     ids = list(edge_ids)
+    if not n:
+        return not ids
     if len(ids) != n - 1 or not all(0 <= eid < len(graph.w) for eid in ids):
         return False
     indeg = [0] * n

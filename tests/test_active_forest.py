@@ -39,12 +39,9 @@ class Rig:
         self.next_pos += 1
         return v
 
-    # forest insert/replace, given the home heap the solver would pass
-    def insert(self, eid: int, origin: int) -> None:
-        self.af.insert(eid, origin, self.cdsu.find(self.tgt[eid]))
-
-    def replace(self, origin: int, eid: int) -> None:
-        self.af.replace(origin, eid, self.cdsu.find(self.tgt[eid]))
+    def set_front(self, origin: int, eid: int) -> None:
+        """``af.set_front`` with the home heap the solver would pass."""
+        self.af.set_front(origin, eid, self.cdsu.find(self.tgt[eid]))
 
     def ring(self, entry: int) -> list[int]:
         """The origins in the sibling ring entered at entry, in ring
@@ -57,28 +54,25 @@ class Rig:
         return out
 
     def cost(self, eid: int) -> int:
-        return self.w[eid] + self.cdsu.find_offset(self.tgt[eid])[1]
+        return self.w[eid] + self.cdsu.offset(self.tgt[eid])
 
     def scan_min(self, head: int):
         best = None
-        for o, eid in self.active.items():
+        for eid in self.active.values():
             if self.cdsu.find(self.tgt[eid]) != head:
                 continue
             key = (self.cost(eid), eid)
-            if best is None or key < best[0]:
-                best = (key, o)
-        if best is None:
-            return None
-        (c, eid), o = best
-        return (o, eid, c)
+            if best is None or key < best:
+                best = key
+        return None if best is None else best[::-1]
 
 
 def test_insert_and_query_singleton():
     rig = Rig()
     h = rig.extend()
     eid = rig.add_edge(7, h, 42)
-    rig.insert(eid, 7)
-    assert rig.af.query_min(h) == (7, eid, 42)
+    rig.set_front(7, eid)
+    assert rig.af.query_min(h) == (eid, 42)
     rig.af.check_invariants(rig.pos)
 
 
@@ -87,9 +81,9 @@ def test_query_returns_cheaper_of_two():
     h = rig.extend()
     e7 = rig.add_edge(5, h, 7)
     e4 = rig.add_edge(6, h, 4)
-    rig.insert(e7, 5)
-    rig.insert(e4, 6)
-    assert rig.af.query_min(h) == (6, e4, 4)
+    rig.set_front(5, e7)
+    rig.set_front(6, e4)
+    assert rig.af.query_min(h) == (e4, 4)
     rig.af.check_invariants(rig.pos)
 
 
@@ -98,27 +92,64 @@ def test_heaps_are_isolated():
     a = rig.extend()
     b = rig.extend()
     eid = rig.add_edge(9, a, 1)
-    rig.insert(eid, 9)
+    rig.set_front(9, eid)
     assert rig.af.query_min(b) is None
-    assert rig.af.query_min(a) == (9, eid, 1)
+    assert rig.af.query_min(a) == (eid, 1)
 
 
-def test_insert_twice_same_origin_rejected():
+def test_set_front_on_fresh_origin_inserts_it():
+    # a fresh origin becomes a root of its home heap, empty or not
     rig = Rig()
-    h = rig.extend()
-    rig.insert(rig.add_edge(3, h, 1), 3)
-    with pytest.raises(ValueError, match="already has an active edge"):
-        rig.insert(rig.add_edge(3, h, 2), 3)
+    a = rig.extend()
+    b = rig.extend()
+    e0 = rig.add_edge(3, a, 4)
+    rig.set_front(3, e0)
+    assert rig.af.eid[3] == e0 and rig.af.parent[3] == -1
+    assert rig.ring(rig.af.root_ring[a]) == [3]
+    e1 = rig.add_edge(4, a, 6)
+    rig.set_front(4, e1)
+    assert rig.af.eid[4] == e1 and rig.af.parent[4] == -1
+    assert rig.ring(rig.af.root_ring[a]) == [3, 4]
+    assert rig.af.root_ring[b] == -1
+    rig.af.check_invariants(rig.pos)
+    assert rig.af.query_min(a) == (e0, 4)
+    assert rig.af.query_min(b) is None
+
+
+def test_set_front_on_active_origin_moves_its_node():
+    # an active origin's node leaves its parent's child ring or its root
+    # list, so each origin keeps exactly one node
+    rig = Rig()
+    a = rig.extend()
+    b = rig.extend()
+    e0 = rig.add_edge(3, a, 4)
+    e1 = rig.add_edge(4, a, 6)
+    rig.set_front(3, e0)
+    rig.set_front(4, e1)
+    assert rig.af.query_min(a) == (e0, 4)  # links 4 under 3
+    assert rig.ring(rig.af.child[3]) == [4] and rig.af.rank[3] == 1
+    e2 = rig.add_edge(4, b, 2)
+    rig.set_front(4, e2)                   # a child moves out alone
+    assert rig.af.eid[4] == e2 and rig.af.parent[4] == -1
+    assert rig.af.child[3] == -1 and rig.af.rank[3] == 0
+    assert rig.ring(rig.af.root_ring[b]) == [4]
+    e3 = rig.add_edge(3, b, 5)
+    rig.set_front(3, e3)                   # a root leaves its root list
+    assert rig.af.root_ring[a] == -1
+    assert sorted(rig.ring(rig.af.root_ring[b])) == [3, 4]
+    rig.af.check_invariants(rig.pos)
+    assert rig.af.query_min(a) is None
+    assert rig.af.query_min(b) == (e2, 2)
 
 
 def test_replace_rekeys_in_place():
     rig = Rig()
     h = rig.extend()
     e9 = rig.add_edge(4, h, 9)
-    rig.insert(e9, 4)
+    rig.set_front(4, e9)
     e2 = rig.add_edge(4, h, 2)
-    rig.replace(4, e2)
-    assert rig.af.query_min(h) == (4, e2, 2)
+    rig.set_front(4, e2)
+    assert rig.af.query_min(h) == (e2, 2)
     rig.af.check_invariants(rig.pos)
 
 
@@ -127,11 +158,11 @@ def test_replace_moves_leaf_between_heaps():
     a = rig.extend()
     b = rig.extend()
     e0 = rig.add_edge(8, a, 5)
-    rig.insert(e0, 8)
+    rig.set_front(8, e0)
     e1 = rig.add_edge(8, b, 5)
-    rig.replace(8, e1)
+    rig.set_front(8, e1)
     assert rig.af.query_min(a) is None
-    assert rig.af.query_min(b) == (8, e1, 5)
+    assert rig.af.query_min(b) == (e1, 5)
     rig.af.check_invariants(rig.pos)
 
 
@@ -143,31 +174,23 @@ def test_replace_and_delete_reroute_displaced_child():
     b = rig.extend()
     e0 = rig.add_edge(3, a, 5)
     e1 = rig.add_edge(4, a, 7)
-    rig.insert(e0, 3)
-    rig.insert(e1, 4)
-    assert rig.af.query_min(a) == (3, e0, 5)   # links e1 under e0
+    rig.set_front(3, e0)
+    rig.set_front(4, e1)
+    assert rig.af.query_min(a) == (e0, 5)  # links e1 under e0
     e2 = rig.add_edge(3, b, 1)
-    rig.replace(3, e2)                      # subtree rides to heap b
+    rig.set_front(3, e2)                   # subtree rides to heap b
     rig.af.check_invariants(rig.pos)
-    assert rig.af.query_min(b) == (3, e2, 1)
+    assert rig.af.query_min(b) == (e2, 1)
     rig.af.delete(3)
     rig.af.check_invariants(rig.pos)
     assert rig.af.query_min(b) is None
-    assert rig.af.query_min(a) == (4, e1, 7)
-
-
-def test_replace_without_node_rejected():
-    rig = Rig()
-    h = rig.extend()
-    eid = rig.add_edge(2, h, 1)
-    with pytest.raises(ValueError, match="has no active edge"):
-        rig.replace(2, eid)
+    assert rig.af.query_min(a) == (e1, 7)
 
 
 def test_delete_only_node_empties_heap():
     rig = Rig()
     h = rig.extend()
-    rig.insert(rig.add_edge(1, h, 3), 1)
+    rig.set_front(1, rig.add_edge(1, h, 3))
     rig.af.delete(1)
     assert rig.af.query_min(h) is None
     with pytest.raises(ValueError, match="has no active edge"):
@@ -179,11 +202,11 @@ def test_delete_root_surfaces_both_children():
     h = rig.extend()
     eids = [rig.add_edge(10 + i, h, c) for i, c in enumerate((3, 5, 9, 11))]
     for i, eid in enumerate(eids):
-        rig.insert(eid, 10 + i)
-    assert rig.af.query_min(h) == (10, eids[0], 3)  # rank-2 tree rooted at 3
+        rig.set_front(10 + i, eid)
+    assert rig.af.query_min(h) == (eids[0], 3)  # rank-2 tree rooted at 3
     rig.af.delete(10)
     rig.af.check_invariants(rig.pos)
-    assert rig.af.query_min(h) == (11, eids[1], 5)
+    assert rig.af.query_min(h) == (eids[1], 5)
 
 
 def test_merge_front_folds_second_into_head():
@@ -191,13 +214,13 @@ def test_merge_front_folds_second_into_head():
     a = rig.extend()
     b = rig.extend()
     e0 = rig.add_edge(5, a, 3)
-    rig.insert(e0, 5)
+    rig.set_front(5, e0)
     e1 = rig.add_edge(6, b, 5)
-    rig.insert(e1, 6)
+    rig.set_front(6, e1)
     m = rig.cdsu.join(b, a)
     rig.af.merge_front(b, a)
     rig.pos[m] = rig.pos[b]
-    assert rig.af.query_min(m) == (5, e0, 3)
+    assert rig.af.query_min(m) == (e0, 3)
     rig.af.check_invariants(rig.pos)
 
 
@@ -206,11 +229,11 @@ def test_merge_front_with_empty_side():
     a = rig.extend()
     b = rig.extend()
     e0 = rig.add_edge(5, a, 3)
-    rig.insert(e0, 5)
+    rig.set_front(5, e0)
     m = rig.cdsu.join(b, a)
     rig.af.merge_front(b, a)
     rig.pos[m] = rig.pos[b]
-    assert rig.af.query_min(m) == (5, e0, 3)
+    assert rig.af.query_min(m) == (e0, 3)
 
 
 def test_query_empty_heap_is_none():
@@ -223,8 +246,8 @@ def test_consolidation_leaves_unique_ranks():
     rig = Rig()
     h = rig.extend()
     for i, c in enumerate((5, 3, 9, 1, 7, 2, 8)):
-        rig.insert(rig.add_edge(20 + i, h, c), 20 + i)
-    assert rig.af.query_min(h)[2] == 1
+        rig.set_front(20 + i, rig.add_edge(20 + i, h, c))
+    assert rig.af.query_min(h)[1] == 1
     roots = rig.ring(rig.af.root_ring[rig.cdsu.find(h)])
     ranks = [rig.af.rank[x] for x in roots]
     assert len(ranks) == len(set(ranks))
@@ -246,7 +269,7 @@ def test_rank_outgrows_log_n():
         for o in range(cap):
             if af.eid[o] < 0:
                 eid = rig.add_edge(o, h, len(rig.w))
-                rig.insert(eid, o)
+                rig.set_front(o, eid)
                 rig.active[o] = eid
         af.query_min(h)
         roots = rig.ring(af.root_ring[h])
@@ -281,7 +304,7 @@ def run_af_sequence(seed: int, nops: int, check_every_op: bool = True) -> None:
                 o = rng.choice(free)
                 t = rng.choice(rig.path)
                 eid = rig.add_edge(o, t, rng.randint(-50, 50))
-                rig.insert(eid, o)
+                rig.set_front(o, eid)
                 rig.active[o] = eid
         elif roll < 0.60:
             if rig.active:
@@ -300,7 +323,7 @@ def run_af_sequence(seed: int, nops: int, check_every_op: bool = True) -> None:
                     # same home, strictly cheaper stored weight
                     eid = rig.add_edge(o, rig.tgt[cur],
                                        rig.w[cur] - rng.randint(1, 5))
-                rig.replace(o, eid)
+                rig.set_front(o, eid)
                 rig.active[o] = eid
         elif roll < 0.70:
             if rig.active:
@@ -335,7 +358,7 @@ def test_randomized_sequences_match_scan_oracle():
 def test_counters_tick():
     rig = Rig()
     h = rig.extend()
-    rig.insert(rig.add_edge(2, h, 4), 2)
+    rig.set_front(2, rig.add_edge(2, h, 4))
     rig.af.query_min(h)
     rig.af.delete(2)
     assert rig.af.queries == 1 and rig.af.deletes == 1

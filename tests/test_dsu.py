@@ -39,11 +39,11 @@ def test_plain_single_set_after_n_minus_1_joins():
 def test_offset_singleton():
     # an edge of weight 10 into vertex 1
     d = ContractionDSU(2)
-    assert 10 + d.find_offset(1)[1] == 10
+    assert 10 + d.offset(1) == 10
     d.add_offset(1, 0)
-    assert 10 + d.find_offset(1)[1] == 10
+    assert 10 + d.offset(1) == 10
     d.add_offset(1, -3)
-    assert 10 + d.find_offset(1)[1] == 7
+    assert 10 + d.offset(1) == 7
 
 
 def test_offset_survives_join_with_fresh_set():
@@ -53,11 +53,11 @@ def test_offset_survives_join_with_fresh_set():
     d.add_offset(0, -1)
     r = d.join(0, 1)
     # edges of weight 10 into the old set's vertex 0 and the fresh vertex 1
-    assert 10 + d.find_offset(0)[1] == 8
-    assert 10 + d.find_offset(1)[1] == 10
+    assert 10 + d.offset(0) == 8
+    assert 10 + d.offset(1) == 10
     d.add_offset(r, -5)
-    assert 10 + d.find_offset(0)[1] == 3
-    assert 10 + d.find_offset(1)[1] == 5
+    assert 10 + d.offset(0) == 3
+    assert 10 + d.offset(1) == 5
 
 
 def test_add_offset_rejects_non_representative():
@@ -68,13 +68,13 @@ def test_add_offset_rejects_non_representative():
         d.add_offset(loser, -1)
 
 
-def test_find_offset_idempotent_after_compression():
+def test_offset_idempotent_after_joins():
     d = ContractionDSU(8)
     for v in range(7):
         d.join(v, v + 1)
     d.add_offset(d.find(0), -4)
-    first = d.find_offset(7)
-    assert d.find_offset(7) == first
+    first = d.offset(7)
+    assert first == -4 and d.offset(7) == first
     assert d.find(d.find(7)) == d.find(7)
 
 
@@ -105,9 +105,9 @@ def test_offsets_against_shadow_oracle():
         else:
             v = rng.randrange(n)
             w = rng.randint(-100, 100)
-            assert w + d.find_offset(v)[1] == w + shadow[v]
+            assert w + d.offset(v) == w + shadow[v]
     for v in range(n):
-        assert 5 + d.find_offset(v)[1] == 5 + shadow[v]
+        assert 5 + d.offset(v) == 5 + shadow[v]
 
 
 def _state(d: ContractionDSU):
@@ -140,14 +140,14 @@ def test_sets_stay_flat_and_finds_keep_state():
         else:
             v = rng.randrange(n)
             before = _state(d)
-            rep = d.find(v)
-            assert d.find_offset(v) == (rep, shadow[v])
+            assert d.find(v) == d.parent[v]
+            assert d.offset(v) == shadow[v]
             assert _state(d) == before
         assert all(d.parent[d.parent[v]] == d.parent[v] for v in range(n))
         assert all((d.find(u) == d.find(v)) == (label[u] == label[v])
                    for u in range(n) for v in range(n))
         for v in range(n):
-            assert d.find_offset(v)[1] == shadow[v]
+            assert d.offset(v) == shadow[v]
 
 
 @pytest.mark.parametrize("cls", [PlainDSU, ContractionDSU])

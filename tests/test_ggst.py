@@ -137,26 +137,37 @@ def _digest(xs: list[int]) -> str:
     return hashlib.sha256(",".join(map(str, xs)).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("make, want", [
+@pytest.mark.parametrize("make, want, debug_modes", [
     (lambda: gen_antilemon(300),
      (300, "a613a851f065d03f", "ba17bb2b85fd0fbe",
-      {"picks": 599, "contractions": 299, "af_queries": 599,
-       "af_deletes": 598, "af_merges": 299}, 6898)),
+      {"picks": 599, "contractions": 299, "summed_cycle_length": 598,
+       "af_queries": 599, "af_deletes": 598, "af_merges": 299,
+       "dsu_visits": 299}), (False, True)),
     (lambda: gen_er_rooted(2000, 8000, 100, 11),
      (47397, "e3d508e6b88b22bd", "b139e3347cf2c7b8",
-      {"picks": 2008, "contractions": 9, "af_queries": 2008,
-       "af_deletes": 154, "af_merges": 149}, 47634)),
-], ids=["antilemon-300", "er-2000-8000"])
-def test_golden_trace_and_counters(make, want):
-    # the trace and counters on two fixed instances: a faster exec must pick
-    # the same edges in the same order, and may only make fewer DSU visits
-    weight, picked, parents, counters, max_visits = want
-    r = ggst_solve(make())
-    assert r.total_weight == weight
-    assert _digest(r.picked) == picked
-    assert _digest(r.forest_parent) == parents
-    assert {k: r.counters[k] for k in counters} == counters
-    assert r.counters["dsu_visits"] <= max_visits
+      {"picks": 2008, "contractions": 9, "summed_cycle_length": 158,
+       "af_queries": 2008, "af_deletes": 154, "af_merges": 149,
+       "dsu_visits": 229}), (False,)),
+    (lambda: gen_er_rooted(300, 2400, 2, 5),
+     (301, "5a80c5b6abb87cb4", "d20c03b94e5f2891",
+      {"picks": 314, "contractions": 15, "summed_cycle_length": 82,
+       "af_queries": 314, "af_deletes": 80, "af_merges": 67,
+       "dsu_visits": 97}), (False, True)),
+], ids=["antilemon-300", "er-2000-8000", "er-300-2400-ties"])
+def test_golden_trace_and_counters(make, want, debug_modes):
+    # the trace and every counter on fixed instances: a change to the
+    # forest or the DSU must pick the same edges in the same order and do
+    # the same work. Weights 1..2 in er-300-2400-ties pin both tie rules,
+    # _extend's smaller edge id and the fold's strictly cheaper. er-2000-8000
+    # skips debug mode, whose full-forest walk per pick takes seconds there.
+    weight, picked, parents, counters = want
+    g = make()
+    for debug in debug_modes:
+        r = ggst_solve(g, debug=debug)
+        assert r.total_weight == weight
+        assert _digest(r.picked) == picked
+        assert _digest(r.forest_parent) == parents
+        assert r.counters == counters
 
 
 def test_run_frees_every_passive_list():

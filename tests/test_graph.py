@@ -40,6 +40,11 @@ def test_parse_skips_blank_lines():
     ("2 0 0\n0 1 1\n", "expected 0 edges, found 1, line 3"),
     ("\n3 4\n", "header must be 'n m r', line 2"),
     ("\n\n2 1 0\n0 5 1\n", "index out of range, line 4"),
+    # int() alone takes "_" separators: "5_0" would read as 50
+    ("2 1 0\n0 1 5_0\n", "not an integer '5_0', line 2"),
+    ("20 1 0\n0 1_0 5\n", "not an integer '1_0', line 2"),
+    ("2_0 1 0\n0 1 5\n", "not an integer '2_0', line 1"),
+    ("2 2 0\n0 1 5\n\n1 0 -5_0\n", "not an integer '-5_0', line 4"),
 ])
 def test_parse_errors(text, msg):
     with pytest.raises(ParseError, match="^" + msg + "$"):
@@ -103,7 +108,8 @@ def test_generated_instances_take_the_bulk_path(monkeypatch):
 
 def test_refused_chunk_leaves_the_columns_as_they_were():
     cols = [[7], [8], [9]]
-    for chunk in (["0 1 3", "1 x 2"], ["0 1 3", "1 2 2"], ["0 1"], [""]):
+    for chunk in (["0 1 3", "1 x 2"], ["0 1 3", "1 2 2"], ["0 1"], [""],
+                  ["0 1 3", "1 0 1_0"]):
         assert not graph_mod._columns(chunk, 2, W_LIMIT, *cols)
         assert cols == [[7], [8], [9]]
     assert graph_mod._columns(["0 1 3", "1 0 -2"], 2, W_LIMIT, *cols)
@@ -161,6 +167,8 @@ def test_parse_plain_edge_list():
     assert all(e.weight == 0 for e in g.edges)
     with pytest.raises(ParseError, match="edge line must be 'u v', line 2"):
         parse_plain_edge_list("1 2\n3\n")
+    with pytest.raises(ParseError, match="^not an integer '1_0', line 2$"):
+        parse_plain_edge_list("1 2\n1_0 3\n")
 
 
 def test_splitmix_determinism():

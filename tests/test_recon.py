@@ -18,6 +18,17 @@ def test_single_vertex(g_one):
     assert reconstruct(r, leaf, g_one, debug=True) == []
 
 
+@pytest.mark.parametrize("config", sorted(SOLVERS))
+def test_empty_instance_passes_its_checks(config):
+    # n == 0: no edges to pick, and the empty set is the only arborescence
+    g = Graph(0, 0, [], [], [])
+    r = SOLVERS[config](g, debug=True)
+    assert r.total_weight == 0 and r.picked == []
+    assert reconstruct(r, build_leaf_map(r, g), g, debug=True) == []
+    assert is_arborescence(g, [])
+    assert not is_arborescence(g, [0])
+
+
 def test_tri_recovers_unique_optimum(g_tri):
     for solve in SOLVERS.values():
         r = solve(g_tri)
