@@ -7,22 +7,36 @@ n indexed by origin: ``eid`` (-1 where the origin has no active edge),
 ``parent`` and ``child`` (-1 for none), the circular sibling ring ``left`` /
 ``right``, and ``rank``, the child count. ``root_ring[rep]`` is an entry
 into the root list of representative rep's heap, -1 when it is empty.
+``stale[rep]`` is 0 while that entry is the heap's minimum root, as in a
+Fibonacci heap's min pointer, and 1 once the entry may not be.
 
 Keys are always computed live as stored weight plus the ContractionDSU's
 accumulated offset of the edge's target, so bulk cost shifts never touch the
-forest. A query keys each root by one int, ``cost * m + eid`` with m the
+forest. Roots are ordered by ``(cost, eid)``, which is unique, so the
+minimum root of a given root list does not depend on the order of that
+list. The minimum cost does not depend on the tree shapes either, but
+which of two equal-cost edges wins can (see invariant (3)).
+
+As in a Fibonacci heap, find-min and consolidation are split. query_min on
+a fresh heap returns the entry in constant time. Only a stale heap is
+consolidated, keying each root by one int, ``cost * m + eid`` with m the
 edge count, which orders like ``(cost, eid)`` and gives the cost back as
-``key // m``. There is no decrease-key and hence no marks or cascading cuts:
-the only structural moves are set_front (in constant time: unhook the
-origin's node if it has one, store the new edge, splice the node into the
-new home's root list with its subtree riding along), delete (children
-return to their own home heaps), the root-list concatenation merge, and
-the consolidating query. Without cascading cuts a rank is bounded only by
-n - 1, not by O(log n), so the query's rank buckets are a reusable list of
-length n.
+``key // m``; the winner becomes the entry and the heap fresh again.
+set_front keeps a fresh heap's entry at its minimum with one comparison.
+A heap goes stale when its entry is unhooked, when delete splices a child
+into its non-empty root list, and when merge_front joins two non-empty
+root lists; each consolidation is paid for by the roots it walks.
+
+There is no decrease-key and hence no marks or cascading cuts: the only
+structural moves are set_front (in constant time: unhook the origin's node
+if it has one, store the new edge, splice the node into the new home's
+root list with its subtree riding along), delete (children return to their
+own home heaps), the root-list concatenation merge, and consolidation.
+Without cascading cuts a rank is bounded only by n - 1, not by O(log n),
+so consolidation's rank buckets are a reusable list of length n.
 
 A node's home heap is the heap of its target's representative,
-``cdsu.parent[target]``. Three invariants, checked by the debug walk:
+``cdsu.parent[target]``. Four invariants, checked by the debug walk:
   (1) every tree root lies in the root list of its home heap;
   (2) along a parent-child link the parent's home lies at least as close to
       the growth path head as the child's;
@@ -31,7 +45,8 @@ A node's home heap is the heap of its target's representative,
       break the order: set_front carries a subtree along to the origin's new
       edge in a newer home, and the contraction joining both homes keeps
       the origin's cheapest edge into them, newest target on a tie, so an
-      equal-cost parent can hold the larger edge id.
+      equal-cost parent can hold the larger edge id;
+  (4) a fresh heap's entry is its minimum root.
 """
 
 from __future__ import annotations
@@ -52,7 +67,8 @@ class ActiveForest:
         self.right = [0] * n
         self.rank = [0] * n
         self.root_ring = [-1] * n
-        # query_min's rank buckets (root, key), -1 between queries
+        self.stale = bytearray(n)
+        # _consolidate's rank buckets (root, key), -1 between queries
         self._bucket = [-1] * n
         self._bkey = [0] * n
         self.queries = 0
@@ -71,20 +87,31 @@ class ActiveForest:
     def set_front(self, origin: int, eid: int, home: int) -> None:
         """Make eid origin's active edge in home's heap, home being
         parent[target of eid]; an active node moves with its subtree."""
-        if self.eid[origin] >= 0:
+        front = self.eid
+        if front[origin] >= 0:
             self._detach(origin)
-        self.eid[origin] = eid
-        left, right = self.left, self.right
-        entry = self.root_ring[home]
+        front[origin] = eid
+        left, right, root_ring = self.left, self.right, self.root_ring
+        entry = root_ring[home]
         if entry < 0:
             left[origin] = right[origin] = origin
-            self.root_ring[home] = origin
-        else:
-            tail = left[entry]
-            left[origin] = tail
-            right[origin] = entry
-            right[tail] = origin
-            left[entry] = origin
+            root_ring[home] = origin
+            self.stale[home] = 0
+            return
+        tail = left[entry]
+        left[origin] = tail
+        right[origin] = entry
+        right[tail] = origin
+        left[entry] = origin
+        if not self.stale[home]:
+            # both edges enter home, so its own offset cancels
+            f = front[entry]
+            tgt, w, off = self.tgt, self.w, self.cdsu.off
+            t, tf = tgt[eid], tgt[f]
+            cost = w[eid] if t == home else w[eid] + off[t]
+            cf = w[f] if tf == home else w[f] + off[tf]
+            if cost < cf or cost == cf and eid < f:
+                root_ring[home] = origin
 
     def _detach(self, x: int) -> None:
         """Unhook x from its parent's child ring, or from its home heap's
@@ -107,6 +134,7 @@ class ActiveForest:
         home = self.cdsu.parent[self.tgt[self.eid[x]]]
         if self.root_ring[home] == x:
             self.root_ring[home] = r
+            self.stale[home] = 1
 
     def delete(self, origin: int) -> None:
         if self.eid[origin] < 0:
@@ -121,6 +149,7 @@ class ActiveForest:
         self.rank[origin] = 0
         eid, up, left, right = self.eid, self.parent, self.left, self.right
         rep, tgt, root_ring = self.cdsu.parent, self.tgt, self.root_ring
+        stale = self.stale
         x = c
         while True:
             nxt = right[x]
@@ -130,12 +159,14 @@ class ActiveForest:
             if entry < 0:
                 left[x] = right[x] = x
                 root_ring[home] = x
+                stale[home] = 0
             else:
                 tail = left[entry]
                 left[x] = tail
                 right[x] = entry
                 right[tail] = x
                 left[entry] = x
+                stale[home] = 1
             if nxt == c:
                 return
             x = nxt
@@ -143,32 +174,48 @@ class ActiveForest:
     def merge_front(self, a: int, b: int) -> None:
         """Concatenate the root lists of the two just-joined super-vertices
         under the surviving representative. a and b are the pre-join
-        representatives; the caller has already joined them in the DSU."""
+        representatives; the caller has already joined them in the DSU.
+        The merged heap is stale unless one side was empty."""
         root_ring, left, right = self.root_ring, self.left, self.right
         ra, rb = root_ring[a], root_ring[b]
         root_ring[a] = root_ring[b] = -1
         self.merges += 1
+        stale = self.stale
         if ra >= 0 and rb >= 0:
             ta, tb = left[ra], left[rb]
             right[ta] = rb
             left[rb] = ta
             right[tb] = ra
             left[ra] = tb
-        root_ring[self.cdsu.parent[a]] = rb if ra < 0 else ra
+            flag = 1
+        else:
+            flag = stale[b] if ra < 0 else stale[a]
+        merged = self.cdsu.parent[a]
+        root_ring[merged] = rb if ra < 0 else ra
+        stale[merged] = flag
 
     def query_min(self, head: int):
         """Minimum-cost active edge into the head's heap, as a tuple
-        (edge id, current cost); None on an empty heap.
-
-        Consolidates the root list by equal-rank linking. By invariant (1)
-        every root in the list has its home here, so each is keyed with
-        the head's offset and none is moved elsewhere.
-        """
+        (edge id, current cost); None on an empty heap. Constant time on
+        a fresh heap; a stale one is consolidated first."""
         self.queries += 1
-        root_ring = self.root_ring
-        x = root_ring[head]
+        x = self.root_ring[head]
         if x < 0:
             return None
+        if self.stale[head]:
+            return self._consolidate(head)
+        e = self.eid[x]
+        t = self.tgt[e]
+        off = self.cdsu.off
+        return e, self.w[e] + (off[t] if head == t else off[t] + off[head])
+
+    def _consolidate(self, head: int):
+        """Link the head's roots by equal rank, make the minimum root the
+        entry and the heap fresh, and return query_min's answer. By
+        invariant (1) every root in the list has its home here, so each is
+        keyed with the head's offset and none is moved elsewhere."""
+        root_ring = self.root_ring
+        x = root_ring[head]
         root_ring[head] = -1
         eid, up, child = self.eid, self.parent, self.child
         left, right, rank = self.left, self.right, self.rank
@@ -228,7 +275,8 @@ class ActiveForest:
             prev = nd
         right[prev] = first
         left[first] = prev
-        root_ring[head] = first
+        root_ring[head] = best
+        self.stale[head] = 0
         return eid[best], best_key // m
 
     # -- debug walk ------------------------------------------------------
@@ -244,7 +292,7 @@ class ActiveForest:
         return out
 
     def check_invariants(self, path_index) -> None:
-        """Full-forest walk asserting invariants (1)-(3). ``path_index``
+        """Full-forest walk asserting invariants (1)-(4). ``path_index``
         maps a super-vertex representative to its growth path position,
         greater meaning closer to the head; vertices off the path map
         below every path position."""
@@ -255,7 +303,12 @@ class ActiveForest:
             if entry < 0:
                 continue
             assert cdsu.parent[ring_rep] == ring_rep, "ring keyed by non-representative"
-            for root in self._ring(entry):
+            roots = self._ring(entry)
+            if not self.stale[ring_rep]:
+                assert min(roots, key=lambda r: (
+                    w[eid[r]] + cdsu.offset(tgt[eid[r]]), eid[r])) == entry, \
+                    "fresh heap's entry is not its minimum root"  # (4)
+            for root in roots:
                 assert self.parent[root] < 0
                 assert cdsu.parent[tgt[eid[root]]] == ring_rep, \
                     "root outside its home heap"  # (1)

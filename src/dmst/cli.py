@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import gc
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -26,6 +27,18 @@ ALGOS = ("ggst", "tarjan-matrix", "tarjan-heap", "tarjan-sil")
 
 CSV_FIELDS = ("instance", "algorithm", "n", "m", "weight",
               "init_ms", "exec_ms", "recon_ms", "teardown_ms", "status")
+
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def decimal(text: str) -> int:
+    """argparse type of every integer option: decimal digits with an
+    optional sign, as in the instance format; int() alone also reads '1_0'
+    as 10."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,7 +58,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--algo", required=True, choices=ALGOS)
     ps.add_argument("--in", dest="infile", required=True,
                     help="instance file, '-' for stdin")
-    ps.add_argument("--root", type=int, default=None,
+    ps.add_argument("--root", type=decimal, default=None,
                     help="override the root from the header")
     ps.add_argument("--out", dest="outfile", required=True,
                     help="where the picked edge ids go, '-' for stdout")
@@ -54,18 +67,18 @@ def _build_parser() -> _Parser:
     pb.add_argument("--algos", required=True,
                     help="comma separated subset of: " + ", ".join(ALGOS))
     pb.add_argument("--in", dest="infiles", nargs="+", required=True)
-    pb.add_argument("--reps", type=int, default=1)
+    pb.add_argument("--reps", type=decimal, default=1)
     pb.add_argument("--timeout", type=float, default=None,
                     help="per-run budget in seconds")
     pb.add_argument("--csv", dest="csvfile", required=True)
 
     pg = sub.add_parser("gen", help="write a generated instance")
     pg.add_argument("family", choices=("antilemon", "er-rooted"))
-    pg.add_argument("--k", type=int, default=None)
-    pg.add_argument("--n", type=int, default=None)
-    pg.add_argument("--m", type=int, default=None)
-    pg.add_argument("--max-w", dest="max_w", type=int, default=100)
-    pg.add_argument("--seed", type=int, default=1)
+    pg.add_argument("--k", type=decimal, default=None)
+    pg.add_argument("--n", type=decimal, default=None)
+    pg.add_argument("--m", type=decimal, default=None)
+    pg.add_argument("--max-w", dest="max_w", type=decimal, default=100)
+    pg.add_argument("--seed", type=decimal, default=1)
     pg.add_argument("--out", dest="outfile", default=None)
 
     return parser

@@ -126,7 +126,7 @@ def test_set_front_on_active_origin_moves_its_node():
     e1 = rig.add_edge(4, a, 6)
     rig.set_front(3, e0)
     rig.set_front(4, e1)
-    assert rig.af.query_min(a) == (e0, 4)  # links 4 under 3
+    assert rig.af._consolidate(a) == (e0, 4)  # links 4 under 3
     assert rig.ring(rig.af.child[3]) == [4] and rig.af.rank[3] == 1
     e2 = rig.add_edge(4, b, 2)
     rig.set_front(4, e2)                   # a child moves out alone
@@ -176,7 +176,8 @@ def test_replace_and_delete_reroute_displaced_child():
     e1 = rig.add_edge(4, a, 7)
     rig.set_front(3, e0)
     rig.set_front(4, e1)
-    assert rig.af.query_min(a) == (e0, 5)  # links e1 under e0
+    assert rig.af._consolidate(a) == (e0, 5)  # links e1 under e0
+    assert rig.af.parent[4] == 3
     e2 = rig.add_edge(3, b, 1)
     rig.set_front(3, e2)                   # subtree rides to heap b
     rig.af.check_invariants(rig.pos)
@@ -203,7 +204,8 @@ def test_delete_root_surfaces_both_children():
     eids = [rig.add_edge(10 + i, h, c) for i, c in enumerate((3, 5, 9, 11))]
     for i, eid in enumerate(eids):
         rig.set_front(10 + i, eid)
-    assert rig.af.query_min(h) == (eids[0], 3)  # rank-2 tree rooted at 3
+    assert rig.af._consolidate(h) == (eids[0], 3)  # rank-2 tree rooted at 3
+    assert rig.af.rank[10] == 2
     rig.af.delete(10)
     rig.af.check_invariants(rig.pos)
     assert rig.af.query_min(h) == (eids[1], 5)
@@ -233,7 +235,22 @@ def test_merge_front_with_empty_side():
     m = rig.cdsu.join(b, a)
     rig.af.merge_front(b, a)
     rig.pos[m] = rig.pos[b]
+    assert rig.af.stale[m] == 0           # the side's flag is kept
     assert rig.af.query_min(m) == (e0, 3)
+
+
+def test_merge_front_with_empty_side_keeps_a_stale_flag():
+    rig = Rig()
+    a = rig.extend()
+    b = rig.extend()
+    for o, c in ((3, 1), (4, 5), (5, 2)):
+        add_front(rig, o, a, c)
+    rig.af.delete(3)
+    del rig.active[3]
+    m = rig.cdsu.join(b, a)
+    rig.af.merge_front(b, a)
+    rig.pos[m] = rig.pos[b]
+    assert_query_consolidates(rig, m)
 
 
 def test_query_empty_heap_is_none():
@@ -247,7 +264,7 @@ def test_consolidation_leaves_unique_ranks():
     h = rig.extend()
     for i, c in enumerate((5, 3, 9, 1, 7, 2, 8)):
         rig.set_front(20 + i, rig.add_edge(20 + i, h, c))
-    assert rig.af.query_min(h)[1] == 1
+    assert rig.af._consolidate(h)[1] == 1
     roots = rig.ring(rig.af.root_ring[rig.cdsu.find(h)])
     ranks = [rig.af.rank[x] for x in roots]
     assert len(ranks) == len(set(ranks))
@@ -257,7 +274,7 @@ def test_consolidation_leaves_unique_ranks():
 def test_rank_outgrows_log_n():
     # with no cascading cuts, deleting grandchildren thins the children but
     # leaves the root's rank, so a rank can pass any O(log n) bound; the
-    # query's rank buckets must still have room for it
+    # consolidation's rank buckets must still have room for it
     cap = 255
     limit = 2 * cap.bit_length() + 2
     rig = Rig(cap)
@@ -271,7 +288,7 @@ def test_rank_outgrows_log_n():
                 eid = rig.add_edge(o, h, len(rig.w))
                 rig.set_front(o, eid)
                 rig.active[o] = eid
-        af.query_min(h)
+        af._consolidate(h)
         roots = rig.ring(af.root_ring[h])
         top = max(af.rank[x] for x in roots)
         # thin: delete every grandchild's subtree, deepest first
@@ -285,6 +302,102 @@ def test_rank_outgrows_log_n():
                     del rig.active[d]
     assert af.query_min(h) == rig.scan_min(h)
     af.check_invariants(rig.pos)
+
+
+def add_front(rig: Rig, origin: int, target: int, weight: int) -> int:
+    eid = rig.add_edge(origin, target, weight)
+    rig.set_front(origin, eid)
+    rig.active[origin] = eid
+    return eid
+
+
+def assert_query_consolidates(rig: Rig, h: int) -> None:
+    """h's heap is stale, and its next query links its roots to unique
+    ranks, answers like the scan oracle and leaves the heap fresh."""
+    af = rig.af
+    assert af.stale[h] == 1
+    assert af.query_min(h) == rig.scan_min(h)
+    assert af.stale[h] == 0
+    ranks = [af.rank[x] for x in rig.ring(af.root_ring[h])]
+    assert max(ranks) > 0 and len(ranks) == len(set(ranks))
+    af.check_invariants(rig.pos)
+
+
+def test_fresh_heap_answers_without_linking():
+    # the entry follows the minimum as fronts arrive, so no query links
+    rig = Rig()
+    h = rig.extend()
+    origins = range(20, 27)
+    for o, c in zip(origins, (5, 3, 9, 1, 7, 2, 8)):
+        add_front(rig, o, h, c)
+        assert rig.af.stale[h] == 0
+        assert rig.af.eid[rig.af.root_ring[h]] == rig.scan_min(h)[0]
+        assert rig.af.query_min(h) == rig.scan_min(h)
+    assert sorted(rig.ring(rig.af.root_ring[h])) == list(origins)
+    assert all(rig.af.rank[o] == 0 and rig.af.parent[o] == -1 for o in origins)
+    assert rig.af.queries == 7
+    rig.af.check_invariants(rig.pos)
+
+
+def test_fresh_entry_breaks_cost_ties_by_edge_id():
+    rig = Rig()
+    h = rig.extend()
+    e0 = rig.add_edge(3, h, 4)
+    e1 = rig.add_edge(4, h, 4)
+    rig.set_front(4, e1)
+    rig.set_front(3, e0)
+    assert rig.af.stale[h] == 0 and rig.af.root_ring[h] == 3
+    assert rig.af.query_min(h) == (e0, 4)
+
+
+@pytest.mark.parametrize("unhook", ["set_front", "delete"])
+def test_unhooking_the_entry_makes_the_heap_stale(unhook):
+    rig = Rig()
+    a = rig.extend()
+    b = rig.extend()
+    for o, c in ((3, 1), (4, 5), (5, 2), (6, 4)):
+        add_front(rig, o, a, c)
+    assert rig.af.root_ring[a] == 3 and rig.af.stale[a] == 0
+    if unhook == "set_front":
+        add_front(rig, 3, b, 9)
+    else:
+        rig.af.delete(3)
+        del rig.active[3]
+    assert_query_consolidates(rig, a)
+    assert rig.af.query_min(a) == (rig.active[5], 2)
+
+
+def test_delete_splicing_children_makes_their_heap_stale():
+    rig = Rig()
+    a = rig.extend()
+    b = rig.extend()
+    add_front(rig, 3, a, 1)
+    c = add_front(rig, 4, a, 2)
+    rig.af._consolidate(a)
+    assert rig.af.parent[4] == 3
+    add_front(rig, 3, b, 1)               # 4 rides along to heap b
+    add_front(rig, 5, a, 8)
+    assert rig.af.root_ring[a] == 5 and rig.af.stale[a] == 0
+    rig.af.delete(3)                      # 4 returns to a, below the entry
+    del rig.active[3]
+    assert_query_consolidates(rig, a)
+    assert rig.af.query_min(a) == (c, 2)
+
+
+def test_merging_two_nonempty_heaps_makes_the_merged_heap_stale():
+    rig = Rig()
+    a = rig.extend()
+    b = rig.extend()
+    best = add_front(rig, 5, a, 3)
+    add_front(rig, 6, a, 6)
+    add_front(rig, 7, b, 5)
+    add_front(rig, 8, b, 7)
+    assert rig.af.stale[a] == rig.af.stale[b] == 0
+    m = rig.cdsu.join(b, a)
+    rig.af.merge_front(b, a)
+    rig.pos[m] = rig.pos[b]
+    assert_query_consolidates(rig, m)
+    assert rig.af.query_min(m) == (best, 3)
 
 
 def run_af_sequence(seed: int, nops: int, check_every_op: bool = True) -> None:

@@ -465,3 +465,31 @@ def test_gen_same_seed_same_file(tmp_path, capsys):
 def test_usage_errors_exit_64(argv, tmp_path, capsys):
     assert run_cli(argv) == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--algo", "ggst", "--in", "{inp}", "--root", "1_0", "--out", "-"],
+    ["bench", "--algos", "ggst", "--in", "{inp}", "--reps", "1_0",
+     "--csv", "{csv}"],
+    ["gen", "antilemon", "--k", "1_0"],
+    ["gen", "er-rooted", "--n", "1_0", "--m", "20"],
+    ["gen", "er-rooted", "--n", "10", "--m", "2_0"],
+    ["gen", "er-rooted", "--n", "10", "--m", "20", "--max-w", "9_9"],
+    ["gen", "er-rooted", "--n", "10", "--m", "20", "--seed", "1_1"],
+    ["gen", "er-rooted", "--n", " 10", "--m", "20"],
+])
+def test_integer_options_refuse_non_decimal_text(argv, tmp_path, capsys):
+    # int() reads "1_0" as 10 and skips surrounding blanks; the instance
+    # format refuses both, and so do the options
+    inp = tmp_path / "a.txt"
+    inp.write_text(serialize(gen_antilemon(11)))  # root 10 would be valid
+    csv_path = tmp_path / "rows.csv"
+    argv = [a.format(inp=inp, csv=csv_path) for a in argv]
+    assert run_cli(argv) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid decimal value" in err
+    assert not csv_path.exists()
+
+
+def test_integer_options_take_a_sign():
+    assert [cli.decimal(t) for t in ("10", "+7", "-3", "007")] == [10, 7, -3, 7]
