@@ -41,6 +41,19 @@ def decimal(text: str) -> int:
     return int(text)
 
 
+_SECONDS = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+                      r"(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)", re.IGNORECASE)
+
+
+def seconds(text: str) -> float:
+    """argparse type of ``--timeout``: a decimal number, optionally with a
+    fraction and an exponent, or inf or nan; float() alone also reads '1_0'
+    as 10 and strips blanks."""
+    if not _SECONDS.fullmatch(text):
+        raise ValueError(text)
+    return float(text)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract wants 64
     def error(self, message):
@@ -68,7 +81,7 @@ def _build_parser() -> _Parser:
                     help="comma separated subset of: " + ", ".join(ALGOS))
     pb.add_argument("--in", dest="infiles", nargs="+", required=True)
     pb.add_argument("--reps", type=decimal, default=1)
-    pb.add_argument("--timeout", type=float, default=None,
+    pb.add_argument("--timeout", type=seconds, default=None,
                     help="per-run budget in seconds")
     pb.add_argument("--csv", dest="csvfile", required=True)
 

@@ -46,4 +46,4 @@ def gen_er_rooted(n: int, m: int, max_w: int, seed: int) -> Graph:
     for _ in range(m - (n - 1)):
         org.append(rng.below(n))
         tgt.append(rng.below(n))
-    return Graph(n, 0, org, tgt, [1 + rng.below(max_w) for _ in range(m)])
+    return Graph(n, 0, org, tgt, rng.uniform(m, 1, max_w))

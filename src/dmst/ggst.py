@@ -48,10 +48,12 @@ class GgstSolver:
         n, root = graph.n, graph.root
         self.cdsu = ContractionDSU(n)
         self.af = ActiveForest(self.cdsu, graph.tgt, graph.w)
-        self.in_adj: list[list[int]] = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(zip(graph.org, graph.tgt)):
-            if v != root and u != v:
-                self.in_adj[v].append(eid)
+        # every edge by target: _extend never runs on the root, and it
+        # skips a self-loop as an edge from the head itself
+        in_adj: list[list[int]] = [[] for _ in range(n)]
+        for eid, v in enumerate(graph.tgt):
+            in_adj[v].append(eid)
+        self.in_adj = in_adj
         self.passive: list[list[int]] = [[] for _ in range(n)]
         # the root and finalized paths; a covered vertex is never contracted,
         # so its passive list is never read

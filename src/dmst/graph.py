@@ -7,11 +7,12 @@ solvers cope with both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from itertools import compress
+from typing import NamedTuple
 
-from .dsu import PlainDSU
 from .errors import ParseError
 
 # Bounds on input weights, tighter for large vertex counts; they validate
@@ -95,9 +96,10 @@ def parse_edge_list(text: str) -> Graph:
     org: list[int] = []
     tgt: list[int] = []
     ws: list[int] = []
+    cols = ((org, 0, n - 1), (tgt, 0, n - 1), (ws, -w_limit, w_limit))
     for start in range(hno, len(lines), PARSE_CHUNK):
         chunk = lines[start:start + PARSE_CHUNK]
-        if _columns(chunk, n, w_limit, org, tgt, ws):
+        if _columns(chunk, cols):
             continue
         for lineno, raw in enumerate(chunk, start + 1):
             parts = raw.split()
@@ -118,38 +120,40 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, root, org, tgt, ws)
 
 
-def _columns(chunk: list[str], n: int, w_limit: int, org: list[int],
-             tgt: list[int], ws: list[int]) -> bool:
-    """Append the origins, targets and weights of ``chunk`` to the columns
-    and return True if every line holds three integers in range; else leave
-    the columns as they were and return False.
+def _columns(chunk: list[str],
+             cols: tuple[tuple[list[int], float, float], ...]) -> bool:
+    """Read ``chunk`` whole into the columns: ``cols`` holds one
+    ``(column, lo, hi)`` per line position. Append every line's integers
+    and return True if each line holds ``len(cols)`` of them, each within
+    its column's bounds; else leave the columns as they were and return
+    False, so the caller reads the chunk line by line.
 
-    The k lines are joined by k - 1 ``;`` tokens into one string, and the
-    columns are every fourth token from 0, 1 and 2. If there are 4k - 1
-    tokens and ``int`` takes every column token, no ``;`` sits in a column,
-    so the k - 1 separators fill the positions 3, 7, ... in order and every
-    line has three tokens. The new values are then range-checked with
-    min/max. A chunk holding ``_`` is refused, as :func:`_parse_int`
-    refuses the token.
+    The k lines are joined by k - 1 ``;`` tokens into one string, and with
+    c = ``len(cols)`` column j is every (c + 1)-th token from j. If there
+    are (c + 1)k - 1 tokens and ``int`` takes every column token, no ``;``
+    sits in a column, so the k - 1 separators fill the positions c,
+    2c + 1, ... in order and every line has c tokens. So a blank line, a
+    line of another width or a comment (its first token is no integer) is
+    refused. The new values are then range-checked with min/max. A chunk
+    holding ``_`` is refused, as :func:`_parse_int` refuses the token.
     """
     text = " ; ".join(chunk)
     toks = text.split()
-    if "_" in text or len(toks) != 4 * len(chunk) - 1:
+    step = len(cols) + 1
+    if "_" in text or len(toks) != step * len(chunk) - 1:
         return False
-    k = len(ws)
+    k = len(cols[0][0])
     try:
-        org += map(int, toks[0::4])
-        tgt += map(int, toks[1::4])
-        ws += map(int, toks[2::4])
+        for j, (col, lo, hi) in enumerate(cols):
+            col += map(int, toks[j::step])
+            new = col[k:]
+            if min(new) < lo or max(new) > hi:
+                raise ValueError
     except ValueError:
-        pass
-    else:
-        us, vs, cs = org[k:], tgt[k:], ws[k:]
-        if (min(us) >= 0 and max(us) < n and min(vs) >= 0 and max(vs) < n
-                and min(cs) >= -w_limit and max(cs) <= w_limit):
-            return True
-    del org[k:], tgt[k:], ws[k:]
-    return False
+        for col, _, _ in cols:
+            del col[k:]
+        return False
+    return True
 
 
 def serialize(graph: Graph) -> str:
@@ -163,27 +167,49 @@ def parse_plain_edge_list(text: str) -> Graph:
 
     Raw vertex labels are arbitrary non-negative integers and get renumbered
     densely in sorted label order. Lines starting with ``%`` or ``#`` are
-    skipped. All weights are 0; run :func:`sample_weights` afterwards. The
-    root defaults to vertex 0 and is a placeholder until
-    :func:`attach_super_root` designates a real one.
+    skipped, and tokens after the second are ignored. Lines are read
+    ``PARSE_CHUNK`` at a time by the same :func:`_columns` as
+    :func:`parse_edge_list`, two columns wide with no upper bound; a chunk
+    it refuses (a comment, a blank line, another token count, a negative
+    label) is read line by line, so every ParseError names its line. All
+    weights are 0; run :func:`sample_weights` afterwards. The root defaults
+    to vertex 0 and is a placeholder until :func:`attach_super_root`
+    designates a real one.
     """
-    us, vs = [], []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        s = raw.strip()
-        if not s or s[0] in "%#":
+    lines = text.splitlines()
+    us: list[int] = []
+    vs: list[int] = []
+    cols = ((us, 0, math.inf), (vs, 0, math.inf))
+    for start in range(0, len(lines), PARSE_CHUNK):
+        chunk = lines[start:start + PARSE_CHUNK]
+        if _columns(chunk, cols):
             continue
-        parts = s.split()
-        if len(parts) < 2:
-            raise ParseError(f"edge line must be 'u v', line {lineno}")
-        u = _parse_int(parts[0], lineno)
-        v = _parse_int(parts[1], lineno)
-        if u < 0 or v < 0:
-            raise ParseError(f"index out of range, line {lineno}")
-        us.append(u)
-        vs.append(v)
-    dense = {lab: i for i, lab in enumerate(sorted({*us, *vs}))}
-    return Graph(len(dense), 0, [dense[u] for u in us], [dense[v] for v in vs],
-                 [0] * len(us))
+        for lineno, raw in enumerate(chunk, start + 1):
+            s = raw.strip()
+            if not s or s[0] in "%#":
+                continue
+            parts = s.split()
+            if len(parts) < 2:
+                raise ParseError(f"edge line must be 'u v', line {lineno}")
+            u = _parse_int(parts[0], lineno)
+            v = _parse_int(parts[1], lineno)
+            if u < 0 or v < 0:
+                raise ParseError(f"index out of range, line {lineno}")
+            us.append(u)
+            vs.append(v)
+    del lines  # the line strings are not needed while renumbering
+    labels = sorted({*us, *vs})
+    dense = dict(zip(labels, range(len(labels))))
+    return Graph(len(labels), 0, list(map(dense.__getitem__, us)),
+                 list(map(dense.__getitem__, vs)), [0] * len(us))
+
+
+# SplitMix64's rule: the state increment, the finalizer's multipliers and
+# the 64-bit mask, as module constants, which read faster than attributes
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
 
 
 class SplitMix64:
@@ -193,24 +219,39 @@ class SplitMix64:
     each output runs the xorshift-multiply finalizer with constants
     0xBF58476D1CE4E5B9 and 0x94D049BB133111EB. The rule is pinned so that
     sequences are bit-identical across platforms and versions.
+    :meth:`uniform` runs the same rule for many draws in one local loop,
+    free of the two method calls per draw that :meth:`below` costs.
     """
 
-    _MASK = (1 << 64) - 1
-
     def __init__(self, seed: int):
-        self._state = seed & self._MASK
+        self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        self._state = z = (self._state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
         """Uniform value in [0, bound). Plain modulo; the bias at 64 bits is
         far below anything a frequency test at our sample sizes can see."""
         return self.next_u64() % bound
+
+    def uniform(self, count: int, low: int, high: int) -> list[int]:
+        """``count`` draws ``low + below(high - low + 1)``, in order: the
+        values and the state after are those of as many calls."""
+        mask, gamma, mix1, mix2 = _MASK64, _GAMMA, _MIX1, _MIX2
+        span = high - low + 1
+        s = self._state
+        out: list[int] = []
+        append = out.append
+        for _ in range(count):
+            s = (s + gamma) & mask
+            z = ((s ^ (s >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            append(low + (z ^ (z >> 31)) % span)
+        self._state = s
+        return out
 
 
 def sample_weights(graph: Graph, seed: int, max_w: int) -> Graph:
@@ -221,25 +262,31 @@ def sample_weights(graph: Graph, seed: int, max_w: int) -> Graph:
     """
     if max_w < 1:
         raise ValueError("max_w must be at least 1")
-    rng = SplitMix64(seed)
-    return replace(graph, w=[1 + rng.below(max_w) for _ in graph.w])
+    return replace(graph, w=SplitMix64(seed).uniform(len(graph.w), 1, max_w))
 
 
-def weak_components(n: int, edges: Iterable[tuple]) -> list[int]:
-    """Component label per vertex, ignoring edge direction; ``edges`` are
-    any ``(origin, target, ...)`` tuples. Labels are the smallest vertex
-    index in each component."""
-    dsu = PlainDSU(n)
-    for e in edges:
-        dsu.join(e[0], e[1])
-    label: dict[int, int] = {}
-    out = [0] * n
+def weak_components(n: int, org: list[int], tgt: list[int]) -> list[int]:
+    """Component label per vertex, ignoring edge direction: the smallest
+    vertex index in its component.
+
+    A union-find on one parent list, with path halving, that links the
+    larger root under the smaller, so every root is its set's smallest
+    vertex and every parent is at most its child. One pass in index order
+    then points each vertex at its root: its parent's entry is final.
+    """
+    parent = list(range(n))
+    for u, v in zip(org, tgt):
+        while u != parent[u]:
+            parent[u] = u = parent[parent[u]]
+        while v != parent[v]:
+            parent[v] = v = parent[parent[v]]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
     for v in range(n):
-        r = dsu.find(v)
-        if r not in label:
-            label[r] = v
-        out[v] = label[r]
-    return out
+        parent[v] = parent[parent[v]]
+    return parent
 
 
 def attach_super_root(graph: Graph) -> Graph:
@@ -255,21 +302,25 @@ def attach_super_root(graph: Graph) -> Graph:
     if graph.n == 0:
         raise ValueError("empty graph")
     org, tgt, w = graph.org, graph.tgt, graph.w
-    comp = weak_components(graph.n, zip(org, tgt))
-    sizes: dict[int, int] = {}
+    comp = weak_components(graph.n, org, tgt)
+    sizes = [0] * graph.n
     for c in comp:
-        sizes[c] = sizes.get(c, 0) + 1
-    best = max(sizes, key=lambda c: (sizes[c], -c))
-    keep = [v for v in range(graph.n) if comp[v] == best]
-    dense = {old: new for new, old in enumerate(keep)}
+        sizes[c] += 1
+    # max keeps the first of equal sizes: the smallest label
+    best = max(range(graph.n), key=sizes.__getitem__)
+    keep = [v for v, c in enumerate(comp) if c == best]
+    dense = [0] * graph.n
+    for new, old in enumerate(keep):
+        dense[old] = new
     nk = len(keep)
 
     max_abs = max(map(abs, w), default=0)
     w_inf = (max_abs + 1) * nk
 
-    eids = [i for i, u in enumerate(org) if comp[u] == best]
+    # an edge lies in its origin's component
+    kept = [comp[u] == best for u in org]
     return Graph(nk + 1, nk,
-                 [dense[org[i]] for i in eids] + [nk] * nk,
-                 [dense[tgt[i]] for i in eids] + list(range(nk)),
-                 [w[i] for i in eids] + [w_inf] * nk,
+                 [*map(dense.__getitem__, compress(org, kept)), *[nk] * nk],
+                 [*map(dense.__getitem__, compress(tgt, kept)), *range(nk)],
+                 [*compress(w, kept), *[w_inf] * nk],
                  orig_ids=tuple(keep))

@@ -3,7 +3,8 @@ from unittest import mock
 
 import pytest
 
-from dmst import Graph, ParseError, ggst_solve, parse_edge_list, tarjan_solve
+from dmst import (Graph, ParseError, ggst_solve, parse_edge_list,
+                  parse_plain_edge_list, tarjan_solve)
 from dmst import graph as graph_mod
 
 G_ONE_TEXT = "1 0 0\n"
@@ -54,12 +55,22 @@ def random_instance(rng: random.Random, max_n: int = 8, max_m: int = 20,
     return Graph(n, rng.randrange(n), org, tgt, w)
 
 
+def _line_by_line(parse, text: str) -> Graph:
+    with mock.patch.object(graph_mod, "_columns", lambda *args: False):
+        return parse(text)
+
+
 def parse_line_by_line(text: str) -> Graph:
     """``parse_edge_list`` with its columnar chunk reader refused, so every
     edge line is read on its own: the reference the chunked reading must
     match."""
-    with mock.patch.object(graph_mod, "_columns", lambda *args: False):
-        return parse_edge_list(text)
+    return _line_by_line(parse_edge_list, text)
+
+
+def parse_plain_line_by_line(text: str) -> Graph:
+    """``parse_plain_edge_list`` with the same chunk reader refused: the
+    reference for its chunked reading."""
+    return _line_by_line(parse_plain_edge_list, text)
 
 
 def parse_outcome(parse, text: str):

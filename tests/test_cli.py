@@ -493,3 +493,27 @@ def test_integer_options_refuse_non_decimal_text(argv, tmp_path, capsys):
 
 def test_integer_options_take_a_sign():
     assert [cli.decimal(t) for t in ("10", "+7", "-3", "007")] == [10, 7, -3, 7]
+
+
+@pytest.mark.parametrize("text", ["1_0", " 10", "10 ", "0x10", "1e", ".",
+                                  "", "١٠", "nan_", "1,5"])
+def test_bench_timeout_refuses_non_decimal_text(text, tmp_path, capsys):
+    # float() reads "1_0" as 10, strips blanks and takes other scripts'
+    # digits; the option refuses them, as the integer options do
+    inp = tmp_path / "tri.txt"
+    inp.write_text(G_TRI_TEXT)
+    csv_path = tmp_path / "rows.csv"
+    assert run_cli(["bench", "--algos", "ggst", "--in", str(inp),
+                    "--timeout", text, "--csv", str(csv_path)]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid seconds value" in err
+    assert not csv_path.exists()
+
+
+def test_bench_timeout_takes_decimal_seconds():
+    texts = ("10", "+2.5", "-1", "0.", ".5", "1e-3", "2E+1", "inf", "-Inf",
+             "Infinity")
+    assert [cli.seconds(t) for t in texts] == [
+        10.0, 2.5, -1.0, 0.0, 0.5, 0.001, 20.0, float("inf"), -float("inf"),
+        float("inf")]
+    assert cli.seconds("nan") != cli.seconds("NaN")  # both nan

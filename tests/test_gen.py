@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from conftest import SOLVERS
 from dmst import (Infeasible, brute_force, gen_antilemon, gen_er_rooted,
-                  ggst_solve, is_arborescence, naive_edmonds, tarjan_solve)
+                  ggst_solve, is_arborescence, naive_edmonds, serialize,
+                  tarjan_solve)
 
 
 def test_antilemon_k3_shape():
@@ -67,6 +70,18 @@ def test_er_rooted_deterministic():
     assert a == b
     c = gen_er_rooted(50, 180, 40, 124)
     assert c != a
+
+
+def test_er_rooted_known_answers():
+    # pinned instances: the shuffle, the edges and the weight column must
+    # not drift, whichever way the generator draws them
+    g = gen_er_rooted(6, 12, 9, 3)
+    assert g.org == [0, 3, 0, 5, 5, 0, 3, 1, 0, 1, 1, 0]
+    assert g.tgt == [3, 5, 1, 2, 4, 0, 4, 4, 4, 2, 2, 3]
+    assert g.w == [5, 9, 3, 5, 3, 2, 9, 7, 1, 7, 9, 8]
+    text = serialize(gen_er_rooted(500, 2000, 1000, 9))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c57382a59ce072b6895ee99bb5a1fdf1b778de2ad9055609abc09f7bcaf519ee")
 
 
 def test_er_rooted_shape_and_weights():

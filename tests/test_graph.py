@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
 from conftest import (G_CYC_TEXT, G_TRI_TEXT, SOLVERS, parse_line_by_line,
-                      parse_outcome)
+                      parse_outcome, parse_plain_line_by_line)
 from dmst import (Edge, Graph, ParseError, SplitMix64, attach_super_root,
                   build_leaf_map, gen_er_rooted, parse_edge_list,
                   parse_plain_edge_list, reconstruct, sample_weights,
@@ -108,12 +109,27 @@ def test_generated_instances_take_the_bulk_path(monkeypatch):
 
 def test_refused_chunk_leaves_the_columns_as_they_were():
     cols = [[7], [8], [9]]
+    bounded = ((cols[0], 0, 1), (cols[1], 0, 1), (cols[2], -W_LIMIT, W_LIMIT))
     for chunk in (["0 1 3", "1 x 2"], ["0 1 3", "1 2 2"], ["0 1"], [""],
-                  ["0 1 3", "1 0 1_0"]):
-        assert not graph_mod._columns(chunk, 2, W_LIMIT, *cols)
+                  ["0 1 3", "1 0 1_0"], ["0 1 3", "1 0 -4294967297"]):
+        assert not graph_mod._columns(chunk, bounded)
         assert cols == [[7], [8], [9]]
-    assert graph_mod._columns(["0 1 3", "1 0 -2"], 2, W_LIMIT, *cols)
+    assert graph_mod._columns(["0 1 3", "1 0 -2"], bounded)
     assert cols == [[7, 0, 1], [8, 1, 0], [9, 3, -2]]
+
+
+def test_columns_take_any_width_and_bounds():
+    # the plain list's two columns: no upper bound, a third token refused
+    us, vs = [], []
+    plain = ((us, 0, math.inf), (vs, 0, math.inf))
+    for chunk in (["5 10 1"], ["5 -1"], ["% 5 10"], ["5 10", ""], ["5"]):
+        assert not graph_mod._columns(chunk, plain)
+        assert us == vs == []
+    assert graph_mod._columns(["5 10", "\t999999999999   +7", "0 0"], plain)
+    assert us == [5, 999999999999, 0] and vs == [10, 7, 0]
+    one = [4]
+    assert graph_mod._columns(["1", "2", "-3"], ((one, -3, 2),))
+    assert one == [4, 1, 2, -3]
 
 
 def test_refused_chunk_between_whole_ones():
@@ -182,6 +198,51 @@ def test_splitmix_determinism():
     assert [c.next_u64() for _ in range(50)] != seq
 
 
+def test_plain_text_takes_the_bulk_path(monkeypatch):
+    # konect-style text over several chunks, with comments in the first and
+    # in a middle chunk: those two are read line by line, the rest whole,
+    # and a later chunk's error still names its line
+    rng = random.Random(4)
+    labels = [rng.randrange(10**8, 10**9) for _ in range(16 * PARSE_CHUNK)]
+    lines = [f"{u} {v}" for u, v in zip(labels[0::2], labels[1::2])]
+    lines[0:0] = ["% sym unweighted", "% 2048 2048 2048"]
+    lines.insert(5 * PARSE_CHUNK + 3, "# mid-file note")
+    text = "\n".join(lines) + "\n"
+    columns, taken = graph_mod._columns, []
+
+    def spy(*args):
+        taken.append(columns(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(graph_mod, "_columns", spy)
+    g = parse_plain_edge_list(text)
+    assert taken == [False] + [True] * 4 + [False] + [True] * 3
+    monkeypatch.undo()
+    assert g == parse_plain_line_by_line(text)
+    assert g.n == len(set(labels))
+    lines[7 * PARSE_CHUNK] = "12 -3"
+    with pytest.raises(ParseError, match=f"^index out of range, line "
+                                         f"{7 * PARSE_CHUNK + 1}$"):
+        parse_plain_edge_list("\n".join(lines))
+
+
+def test_splitmix_known_answers():
+    # pinned outputs: the rule must not drift on any platform or version
+    rng = SplitMix64(12345)
+    assert [rng.next_u64() for _ in range(4)] == [
+        2454886589211414944, 3778200017661327597, 2205171434679333405,
+        3248800117070709450]
+
+
+@pytest.mark.parametrize("seed,count,low,high", [
+    (7, 300, 1, 1000), (2**64 - 3, 40, -5, 5), (0, 1, 0, 0), (9, 0, 1, 3)])
+def test_splitmix_uniform_is_that_many_below_calls(seed, count, low, high):
+    bulk, single = SplitMix64(seed), SplitMix64(seed)
+    assert bulk.uniform(count, low, high) == [
+        low + single.below(high - low + 1) for _ in range(count)]
+    assert bulk.next_u64() == single.next_u64()
+
+
 def test_splitmix_below():
     rng = SplitMix64(7)
     draws = [rng.below(10) for _ in range(2000)]
@@ -204,9 +265,22 @@ def test_sample_weights():
         sample_weights(g, 1, 0)
 
 
+def test_sample_weights_known_answers():
+    text = "4 10 0\n" + "".join(f"{i % 4} {(i * 3 + 1) % 4} 0\n"
+                                for i in range(10))
+    g = parse_edge_list(text)
+    assert sample_weights(g, 42, 1000).w == [
+        414, 292, 859, 765, 251, 63, 926, 909, 6, 975]
+    # the seed is taken modulo 2**64
+    assert sample_weights(g, 2**64 + 42, 7).w == [6, 6, 1, 3, 7, 5, 3, 7, 7, 6]
+
+
 def test_weak_components():
-    edges = [Edge(0, 1, 0, 0), Edge(3, 2, 0, 1)]
-    assert weak_components(5, edges) == [0, 0, 2, 2, 4]
+    assert weak_components(5, [0, 3], [1, 2]) == [0, 0, 2, 2, 4]
+    # a later edge links a larger root under a smaller one, deep in a chain
+    assert weak_components(6, [5, 4, 3, 2, 1], [4, 3, 2, 1, 5]) == [
+        0, 1, 1, 1, 1, 1]
+    assert weak_components(0, [], []) == []
 
 
 def test_attach_super_root_keeps_largest_component():
@@ -226,6 +300,19 @@ def test_attach_super_root_tie_goes_to_smallest_member():
     text = "4 2 0\n0 1 1\n2 3 1\n"
     g = attach_super_root(parse_edge_list(text))
     assert g.orig_ids == (0, 1)
+
+
+def test_attach_super_root_tie_among_three_components():
+    # three components of three vertices each and a pair {9, 10}; the one
+    # holding vertex 0 comes last in edge order
+    text = ("11 7 0\n6 2 1\n3 6 2\n7 4 3\n9 10 4\n8 5 5\n1 7 6\n"
+            "5 0 7\n")
+    g = attach_super_root(parse_edge_list(text))
+    assert g.orig_ids == (0, 5, 8)
+    assert g.n == 4 and g.root == 3
+    # W_INF = (7 + 1) * 3 retained vertices
+    assert (g.org, g.tgt, g.w) == ([2, 1, 3, 3, 3], [1, 0, 0, 1, 2],
+                                   [5, 7, 24, 24, 24])
 
 
 def test_attach_super_root_rejects_empty():

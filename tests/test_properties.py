@@ -1,12 +1,14 @@
 """Property tests on small arbitrary graphs: negative weights, parallel
 edges, self-loops, edges into the root and infeasible inputs, also with the
 edges into one vertex shifted by a constant; on texts in or near the
-instance format, which the chunked parser must read exactly as it does with
-every edge line read on its own; and on konect-style ``u v`` texts through
-the super-root pipeline. A failure shrinks to a minimal example. Examples
+instance format and the konect ``u v`` format, which the chunked parsers
+must read exactly as they do with every line read on its own; on weak
+component labels against a PlainDSU; and on konect-style ``u v`` texts
+through the super-root pipeline. A failure shrinks to a minimal example. Examples
 are derandomized, so every run draws the same ones."""
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -14,11 +16,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import SOLVERS, parse_line_by_line, parse_outcome  # noqa: E402
-from dmst import (Graph, Infeasible, attach_super_root,  # noqa: E402
-                  build_leaf_map, ggst_solve, is_arborescence, naive_edmonds,
-                  parse_edge_list, parse_plain_edge_list, reconstruct,
-                  sample_weights, weak_components)
+from conftest import (SOLVERS, parse_line_by_line,  # noqa: E402
+                      parse_outcome, parse_plain_line_by_line)
+from dmst import (Graph, Infeasible, PlainDSU,  # noqa: E402
+                  attach_super_root, build_leaf_map, ggst_solve,
+                  is_arborescence, naive_edmonds, parse_edge_list,
+                  parse_plain_edge_list, reconstruct, sample_weights,
+                  weak_components)
+from dmst import graph as graph_mod  # noqa: E402
 
 PROPS = settings(max_examples=250, deadline=None, derandomize=True,
                  database=None)
@@ -98,7 +103,7 @@ def test_super_root_pipeline_is_feasible_and_exact(text, seed, max_w):
     want = naive_edmonds(g)
     for name, solve in SOLVERS.items():
         assert solve(g).total_weight == want, name
-    comp = weak_components(plain.n, zip(plain.org, plain.tgt))
+    comp = weak_components(plain.n, plain.org, plain.tgt)
     sizes = {c: comp.count(c) for c in comp}
     members = {comp[v] for v in g.orig_ids}
     assert len(members) == 1 and sizes[members.pop()] == len(g.orig_ids)
@@ -159,3 +164,59 @@ def edge_list_texts(draw) -> str:
 def test_parse_matches_line_parser(text):
     assert (parse_outcome(parse_edge_list, text)
             == parse_outcome(parse_line_by_line, text))
+
+
+@PROPS
+@given(st.data())
+def test_weak_components_match_plain_dsu(data):
+    n = data.draw(st.integers(1, 12))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)),
+                               max_size=3 * n))
+    dsu = PlainDSU(n)
+    for u, v in pairs:
+        dsu.join(u, v)
+    smallest = {}
+    for v in range(n):
+        smallest.setdefault(dsu.find(v), v)
+    assert (weak_components(n, [u for u, _ in pairs], [v for _, v in pairs])
+            == [smallest[dsu.find(v)] for v in range(n)])
+
+
+# tokens that a two-column chunk must refuse or read as the line does:
+# signs, a negative label, "_", a comment's first token, junk
+PLAIN_JUNK = st.sampled_from(["-1", "-0", "+4", "007", "1_0", "_", "%", "#2",
+                              "x", "-12"])
+
+
+@st.composite
+def plain_texts(draw) -> str:
+    """Text in or near the konect ``u v`` format: mostly two-label lines,
+    with comment lines anywhere, blank lines and lines of three tokens;
+    split by spaces or tabs, LF or CRLF. Half the texts also carry odd
+    tokens and one-token lines, which most often end in a ParseError."""
+    label = st.integers(0, 30).map(str)
+    odd = draw(st.booleans())
+    token = (lambda: mostly(draw, label, PLAIN_JUNK)) if odd else (
+        lambda: draw(label))
+    lines = []
+    for _ in range(draw(st.integers(0, 24))):
+        if mostly(draw, st.just(True), st.just(False)):
+            toks = [token(), token()]
+        else:
+            toks = draw(st.one_of(
+                st.lists(label, min_size=1 if odd else 3, max_size=3),
+                st.sampled_from([[], ["%", "c"], ["#", "1", "2"], ["%1", "2"]])))
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        lines.append(draw(st.sampled_from(["", " "])) + sep.join(toks))
+    return (draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+            + draw(st.sampled_from(["", "\n"])))
+
+
+@PROPS
+@given(plain_texts(), st.integers(1, 4))
+def test_plain_parse_matches_line_parser(text, chunk):
+    # chunks of a few lines, so one text spans several
+    with mock.patch.object(graph_mod, "PARSE_CHUNK", chunk):
+        assert (parse_outcome(parse_plain_edge_list, text)
+                == parse_outcome(parse_plain_line_by_line, text))
