@@ -12,10 +12,9 @@ Fibonacci heap's min pointer, and 1 once the entry may not be.
 
 Keys are always computed live as stored weight plus the ContractionDSU's
 accumulated offset of the edge's target, so bulk cost shifts never touch the
-forest. Roots are ordered by ``(cost, eid)``, which is unique, so the
-minimum root of a given root list does not depend on the order of that
-list. The minimum cost does not depend on the tree shapes either, but
-which of two equal-cost edges wins can (see invariant (3)).
+forest. Every comparison orders by ``(cost, eid)``, which is unique, so
+a heap's minimum is a function of its active edges alone, whatever the
+order of its root list or the shapes of its trees.
 
 As in a Fibonacci heap, find-min and consolidation are split. query_min on
 a fresh heap returns the entry in constant time. Only a stale heap is
@@ -40,12 +39,8 @@ A node's home heap is the heap of its target's representative,
   (1) every tree root lies in the root list of its home heap;
   (2) along a parent-child link the parent's home lies at least as close to
       the growth path head as the child's;
-  (3) a parent costs at most its child whenever both share a home heap,
-      which is all query_min needs to look at roots only. Edge ids may
-      break the order: set_front carries a subtree along to the origin's new
-      edge in a newer home, and the contraction joining both homes keeps
-      the origin's cheapest edge into them, newest target on a tie, so an
-      equal-cost parent can hold the larger edge id;
+  (3) a parent precedes its child in ``(cost, eid)`` whenever both share
+      a home heap, which is all query_min needs to look at roots only;
   (4) a fresh heap's entry is its minimum root.
 """
 
@@ -298,6 +293,10 @@ class ActiveForest:
         below every path position."""
         cdsu = self.cdsu
         tgt, w, eid = self.tgt, self.w, self.eid
+
+        def key(x):
+            return w[eid[x]] + cdsu.offset(tgt[eid[x]]), eid[x]
+
         seen = 0
         for ring_rep, entry in enumerate(self.root_ring):
             if entry < 0:
@@ -305,8 +304,7 @@ class ActiveForest:
             assert cdsu.parent[ring_rep] == ring_rep, "ring keyed by non-representative"
             roots = self._ring(entry)
             if not self.stale[ring_rep]:
-                assert min(roots, key=lambda r: (
-                    w[eid[r]] + cdsu.offset(tgt[eid[r]]), eid[r])) == entry, \
+                assert min(roots, key=key) == entry, \
                     "fresh heap's entry is not its minimum root"  # (4)
             for root in roots:
                 assert self.parent[root] < 0
@@ -324,14 +322,13 @@ class ActiveForest:
                         continue
                     kids = self._ring(c)
                     assert len(kids) == self.rank[x], "rank is not the child count"
-                    n_cost = w[eid[x]] + cdsu.offset(tgt[eid[x]])
                     for kid in kids:
                         assert self.parent[kid] == x
                         k_home = cdsu.parent[tgt[eid[kid]]]
                         assert path_index[n_home] >= path_index[k_home], \
                             "child outranks parent"  # (2)
                         if n_home == k_home:
-                            assert n_cost <= w[eid[kid]] + cdsu.offset(tgt[eid[kid]]), \
+                            assert key(x) < key(kid), \
                                 "heap order violated in home heap"  # (3)
                         stack.append(kid)
         owners = sum(e >= 0 for e in eid)

@@ -10,7 +10,6 @@ import argparse
 import csv
 import dataclasses
 import gc
-import math
 import re
 import sys
 import time
@@ -217,8 +216,8 @@ def _cmd_bench(args, parser: _Parser) -> int:
             parser.error(f"unknown algorithm {algo!r}")
     if args.reps < 1:
         parser.error("reps must be positive")
-    if args.timeout is not None and math.isnan(args.timeout):
-        parser.error("timeout must be a number of seconds, not nan")
+    if args.timeout is not None and not args.timeout >= 0:
+        parser.error(f"timeout must be seconds >= 0, not {args.timeout}")
 
     csv_path = Path(args.csvfile)
     try:

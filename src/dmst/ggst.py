@@ -16,13 +16,14 @@ front is demoted into ``passive[t]`` of its target t, the only record of
 demoted edges. A contraction shifts member costs in the DSU offsets,
 deletes the members' own fronts (their edges became self-loops) and folds
 the members' passive lists, newest member first: an entry whose origin
-lies outside the merged vertex becomes that origin's front when strictly
-cheaper at current cost (weight plus ``cdsu.offset`` of the target). That
-leaves one edge per origin into the merged vertex, the cheapest, newest
-target on a tie. Entries whose origin was contracted into a later path
-vertex are dropped by the fold that takes in both. A covered vertex is
-never contracted, so finalizing a path frees its passive lists and a front
-into a covered vertex is dropped instead of demoted.
+lies outside the merged vertex becomes that origin's front when smaller
+in ``(current cost, edge id)``, current cost being weight plus
+``cdsu.offset`` of the target. That leaves one edge per origin into the
+merged vertex, the first in the order every layer uses. Entries whose
+origin was contracted into a later path vertex are dropped by the fold
+that takes in both. A covered vertex is never contracted, so finalizing a
+path frees its passive lists and a front into a covered vertex is dropped
+instead of demoted.
 """
 
 from __future__ import annotations
@@ -151,8 +152,11 @@ class GgstSolver:
                         if b in mem_set:
                             continue
                         f = front[b]
-                        if (w[e2] + cdsu.offset(tgt[e2])
-                                < w[f] + cdsu.offset(tgt[f])):
+                        c2 = w[e2] + cdsu.offset(tgt[e2])
+                        cf = w[f] + cdsu.offset(tgt[f])
+                        # the smaller (cost, eid), so the origin's node still
+                        # precedes each child linked under an older front
+                        if c2 < cf or c2 == cf and e2 < f:
                             af.set_front(b, e2, parent[tgt[e2]])
                 merged = members[0]
                 for r in members[1:]:

@@ -17,8 +17,7 @@ skew heap with no right child anywhere, so it is built without a meld and
 adds nothing to the melds' amortized cost.
 ``counters()`` reports the work of the whole solve. Ties on equal cost
 break toward the smaller edge id in every strategy, so the three strategies
-produce identical traces. ggst's traces can differ from them: its choice
-among equal-cost edges depends on the shape of its active forest.
+produce identical traces.
 
 MatrixQueue and SilQueue store one int per edge, ``(cost - offset[v]) * m
 + eid`` with m the edge count, the key the active forest orders by: int

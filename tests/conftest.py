@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from dmst import (Graph, ParseError, ggst_solve, parse_edge_list,
+from dmst import (GgstSolver, Graph, ParseError, ggst_solve, parse_edge_list,
                   parse_plain_edge_list, tarjan_solve)
 from dmst import graph as graph_mod
 
@@ -79,3 +79,59 @@ def parse_outcome(parse, text: str):
         return parse(text)
     except ParseError as e:
         return str(e)
+
+
+def scan_min(cdsu, tgt: list[int], w: list[int], eids, head: int):
+    """The smallest ``(current cost, edge id)`` among the edge ids in eids
+    whose target's representative is head, as ``(edge id, cost)``, or None:
+    what the active forest's query_min must answer, found by a scan. Entries
+    below 0 stand for no edge."""
+    best = None
+    for e in eids:
+        if e >= 0 and cdsu.find(tgt[e]) == head:
+            key = (w[e] + cdsu.offset(tgt[e]), e)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[::-1]
+
+
+class ScanForest:
+    """ggst's ActiveForest reduced to its front list: query_min scans every
+    front for one into the head. The solver's picks must not depend on how
+    the forest orders its heaps, so ``scan_ggst`` must give the same picks,
+    forest parents and counters as ``ggst_solve``."""
+
+    def __init__(self, cdsu, tgt: list[int], w: list[int]):
+        self.cdsu, self.tgt, self.w = cdsu, tgt, w
+        self.eid = [-1] * len(cdsu.parent)
+        self.queries = self.deletes = self.merges = 0
+
+    def counters(self) -> dict[str, int]:
+        return {"af_queries": self.queries, "af_deletes": self.deletes,
+                "af_merges": self.merges}
+
+    def set_front(self, origin: int, eid: int, home: int) -> None:
+        self.eid[origin] = eid
+
+    def delete(self, origin: int) -> None:
+        if self.eid[origin] < 0:
+            raise ValueError(f"origin {origin} has no active edge")
+        self.eid[origin] = -1
+        self.deletes += 1
+
+    def merge_front(self, a: int, b: int) -> None:
+        self.merges += 1
+
+    def query_min(self, head: int):
+        self.queries += 1
+        return scan_min(self.cdsu, self.tgt, self.w, self.eid, head)
+
+    def check_invariants(self, path_index) -> None:
+        pass
+
+
+def scan_ggst(graph: Graph):
+    """ggst's solve with its active forest replaced by a ScanForest."""
+    solver = GgstSolver(graph)
+    solver.af = ScanForest(solver.cdsu, graph.tgt, graph.w)
+    return solver.run()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import scan_min
 from dmst import ActiveForest, ContractionDSU
 
 
@@ -53,18 +54,8 @@ class Rig:
             out.append(self.af.right[out[-1]])
         return out
 
-    def cost(self, eid: int) -> int:
-        return self.w[eid] + self.cdsu.offset(self.tgt[eid])
-
     def scan_min(self, head: int):
-        best = None
-        for eid in self.active.values():
-            if self.cdsu.find(self.tgt[eid]) != head:
-                continue
-            key = (self.cost(eid), eid)
-            if best is None or key < best:
-                best = key
-        return None if best is None else best[::-1]
+        return scan_min(self.cdsu, self.tgt, self.w, self.active.values(), head)
 
 
 def test_insert_and_query_singleton():

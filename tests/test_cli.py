@@ -341,6 +341,29 @@ def test_bench_refuses_nan_timeout(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["-1", "-inf", "-1e-9"])
+def test_bench_refuses_negative_timeout(text, tmp_path, capsys):
+    # a negative budget would be written as the phase times of every
+    # timeout row; "=" keeps argparse from taking "-inf" for an option
+    inp = tmp_path / "tri.txt"
+    inp.write_text(G_TRI_TEXT)
+    out = tmp_path / "bench.csv"
+    assert run_cli(["bench", "--algos", "ggst", "--in", str(inp),
+                    f"--timeout={text}", "--csv", str(out)]) == 64
+    assert "seconds >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_negative_zero_timeout_is_zero(tmp_path, capsys):
+    inp = tmp_path / "tri.txt"
+    inp.write_text(G_TRI_TEXT)
+    out = tmp_path / "bench.csv"
+    assert run_cli(["bench", "--algos", "ggst", "--in", str(inp),
+                    "--timeout", "-0", "--csv", str(out)]) == 0
+    capsys.readouterr()
+    assert [(r[4], r[9]) for r in read_rows(out)[1:]] == [("", "timeout")]
+
+
 def test_bench_infinite_timeout_is_no_limit(tmp_path, capsys):
     inp = tmp_path / "tri.txt"
     inp.write_text(G_TRI_TEXT)

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from conftest import random_instance
+from conftest import random_instance, scan_ggst
 from dmst import (GgstSolver, Infeasible, brute_force, build_leaf_map,
                   gen_antilemon, gen_er_rooted, ggst_solve, is_arborescence,
-                  reconstruct, tarjan_solve)
+                  parse_edge_list, reconstruct, tarjan_solve)
 
 
 def test_single_vertex(g_one):
@@ -67,14 +67,27 @@ def test_oracle_sweep_with_debug_checks():
         assert sum(g.edges[e].weight for e in ids) == want
 
 
-def test_debug_accepts_equal_cost_parent_with_larger_edge_id():
+def test_equal_cost_fold_keeps_the_strict_order():
     # origin 3 moves from edge 2 (into 0) to edge 5 (into the new head 1),
     # carrying its child, origin 5's edge 3 into 0; the contraction that
-    # joins 0 and 1 ties the two at cost 0 with the parent's edge id larger
-    from dmst import parse_edge_list
+    # joins 0 and 1 ties edges 2 and 5 at cost 0, and the fold takes back
+    # edge 2, the smaller id, which precedes the child's edge 3 as the
+    # debug walk's strict (cost, edge id) check requires
     g = parse_edge_list("6 9 3\n2 0 0\n1 0 0\n3 0 0\n5 0 0\n4 1 -1\n"
                         "3 1 -1\n0 2 -1\n0 5 1\n2 4 0\n")
-    assert ggst_solve(g, debug=True).total_weight == -1
+    r = ggst_solve(g, debug=True)
+    assert r.total_weight == -1
+    assert r.picked == scan_ggst(g).picked == [0, 6, 1, 4, 8, 2, 7]
+
+
+def test_picks_match_scan_forest_on_a_tie():
+    # a fold that kept the newest target on a cost tie left an equal-cost
+    # parent with the larger edge id above its child here, and the forest
+    # answered a query with that parent, not the (cost, edge id) minimum
+    g = gen_er_rooted(6, 20, 2, 4371)
+    r, want = ggst_solve(g, debug=True), scan_ggst(g)
+    assert (r.picked, r.forest_parent, r.counters) == (
+        want.picked, want.forest_parent, want.counters)
 
 
 def test_tie_heavy_sweep_with_debug_checks():
@@ -101,7 +114,6 @@ def test_matches_tarjan_on_er_instances():
 def test_restart_after_finalize():
     # two separate branches below the root force at least one finalize
     # followed by a restart at a lower-index vertex
-    from dmst import parse_edge_list
     g = parse_edge_list("5 4 0\n0 1 1\n1 2 1\n0 3 1\n3 4 1\n")
     r = ggst_solve(g, debug=True)
     assert r.total_weight == 4
@@ -149,17 +161,18 @@ def _digest(xs: list[int]) -> str:
        "af_queries": 2008, "af_deletes": 154, "af_merges": 149,
        "dsu_visits": 229}), (False,)),
     (lambda: gen_er_rooted(300, 2400, 2, 5),
-     (301, "5a80c5b6abb87cb4", "d20c03b94e5f2891",
-      {"picks": 314, "contractions": 15, "summed_cycle_length": 82,
-       "af_queries": 314, "af_deletes": 80, "af_merges": 67,
-       "dsu_visits": 97}), (False, True)),
+     (301, "872a13aa6aea4ca6", "7e3c5ca63406ddca",
+      {"picks": 316, "contractions": 17, "summed_cycle_length": 97,
+       "af_queries": 316, "af_deletes": 95, "af_merges": 80,
+       "dsu_visits": 110}), (False, True)),
 ], ids=["antilemon-300", "er-2000-8000", "er-300-2400-ties"])
 def test_golden_trace_and_counters(make, want, debug_modes):
     # the trace and every counter on fixed instances: a change to the
     # forest or the DSU must pick the same edges in the same order and do
-    # the same work. Weights 1..2 in er-300-2400-ties pin both tie rules,
-    # _extend's smaller edge id and the fold's strictly cheaper. er-2000-8000
-    # skips debug mode, whose full-forest walk per pick takes seconds there.
+    # the same work. Weights 1..2 in er-300-2400-ties pin the one tie rule,
+    # the smaller edge id on equal cost, in _extend and in the fold.
+    # er-2000-8000 skips debug mode, whose full-forest walk per pick takes
+    # seconds there.
     weight, picked, parents, counters = want
     g = make()
     for debug in debug_modes:

@@ -1,11 +1,13 @@
 """Property tests on small arbitrary graphs: negative weights, parallel
 edges, self-loops, edges into the root and infeasible inputs, also with the
-edges into one vertex shifted by a constant; on texts in or near the
-instance format and the konect ``u v`` format, which the chunked parsers
-must read exactly as they do with every line read on its own; on weak
-component labels against a PlainDSU; and on konect-style ``u v`` texts
-through the super-root pipeline. A failure shrinks to a minimal example. Examples
-are derandomized, so every run draws the same ones."""
+edges into one vertex shifted by a constant; on tie-heavy graphs and
+er-rooted instances, where ggst must pick exactly as it does with a scan in
+place of its active forest; on texts in or near the instance format and the
+konect ``u v`` format, which the chunked parsers must read exactly as they
+do with every line read on its own; on weak component labels against a
+PlainDSU; and on konect-style ``u v`` texts through the super-root
+pipeline. A failure shrinks to a minimal example. Examples are
+derandomized, so every run draws the same ones."""
 
 from dataclasses import replace
 from unittest import mock
@@ -17,9 +19,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import (SOLVERS, parse_line_by_line,  # noqa: E402
-                      parse_outcome, parse_plain_line_by_line)
+                      parse_outcome, parse_plain_line_by_line, scan_ggst)
 from dmst import (Graph, Infeasible, PlainDSU,  # noqa: E402
-                  attach_super_root, build_leaf_map, ggst_solve,
+                  attach_super_root, build_leaf_map, gen_er_rooted, ggst_solve,
                   is_arborescence, naive_edmonds, parse_edge_list,
                   parse_plain_edge_list, reconstruct, sample_weights,
                   weak_components)
@@ -30,10 +32,11 @@ PROPS = settings(max_examples=250, deadline=None, derandomize=True,
 
 
 @st.composite
-def graphs(draw, max_n: int = 8, max_m: int = 20, min_n: int = 1) -> Graph:
+def graphs(draw, max_n: int = 8, max_m: int = 20, min_n: int = 1,
+           max_w: int = 20) -> Graph:
     n = draw(st.integers(min_n, max_n))
     vertex = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(-20, 20)),
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(-max_w, max_w)),
                           max_size=max_m))
     return Graph(n, draw(vertex), [e[0] for e in edges],
                  [e[1] for e in edges], [e[2] for e in edges])
@@ -121,6 +124,30 @@ def test_ggst_debug_checks_pass(g):
     ids = reconstruct(result, build_leaf_map(result, g), g, debug=True)
     assert is_arborescence(g, ids)
     assert sum(g.w[i] for i in ids) == result.total_weight
+
+
+def ggst_trace(solve, g: Graph):
+    r = weight_or_infeasible(solve, g)
+    return r if r is Infeasible else (r.picked, r.forest_parent, r.counters)
+
+
+# ties are common at these weights: which equal-cost edge ggst picks must
+# not depend on the shape of its active forest
+TIES = settings(PROPS, max_examples=2000)
+
+
+@TIES
+@given(graphs(max_n=14, max_m=50, max_w=2))
+def test_ggst_picks_match_scan_forest(g):
+    assert ggst_trace(ggst_solve, g) == ggst_trace(scan_ggst, g)
+
+
+@TIES
+@given(st.integers(1, 60), st.integers(1, 5), st.integers(0, 2**32))
+def test_ggst_picks_match_scan_forest_on_er_rooted(n, max_w, seed):
+    # eight edges per vertex: the fold meets many equal-cost passive edges
+    g = gen_er_rooted(n, 8 * n, max_w, seed)
+    assert ggst_trace(ggst_solve, g) == ggst_trace(scan_ggst, g)
 
 
 # small integers, sometimes junk built from the characters that border on
