@@ -10,21 +10,23 @@ into the root list of representative rep's heap, -1 when it is empty.
 ``stale[rep]`` is 0 while that entry is the heap's minimum root, as in a
 Fibonacci heap's min pointer, and 1 once the entry may not be.
 
-Keys are always computed live as stored weight plus the ContractionDSU's
-accumulated offset of the edge's target, so bulk cost shifts never touch the
-forest. Every comparison orders by ``(cost, eid)``, which is unique, so
-a heap's minimum is a function of its active edges alone, whatever the
-order of its root list or the shapes of its trees.
+Keys are always computed live from the ContractionDSU, so bulk cost shifts
+never touch the forest. A cost is ``w[e] + off[tgt[e]]`` plus the home's
+``shift``, which every edge in the heap shares, so only query_min's answer
+adds ``shift[head]``. Every comparison orders by ``(cost, eid)``, which is
+unique, so a heap's minimum is a function of its active edges alone,
+whatever the order of its root list or the shapes of its trees.
 
 As in a Fibonacci heap, find-min and consolidation are split. query_min on
 a fresh heap returns the entry in constant time. Only a stale heap is
 consolidated, keying each root by one int, ``cost * m + eid`` with m the
-edge count, which orders like ``(cost, eid)`` and gives the cost back as
-``key // m``; the winner becomes the entry and the heap fresh again.
-set_front keeps a fresh heap's entry at its minimum with one comparison.
-A heap goes stale when its entry is unhooked, when delete splices a child
-into its non-empty root list, and when merge_front joins two non-empty
-root lists; each consolidation is paid for by the roots it walks.
+edge count and cost without the shift, which orders like ``(cost, eid)``
+and gives that cost back as ``key // m``; the winner becomes the entry
+and the heap fresh again. set_front keeps a fresh heap's entry at its
+minimum with one comparison. A heap goes stale when its entry is
+unhooked, when delete splices a child into its non-empty root list, and
+when merge_front joins two non-empty root lists; each consolidation is
+paid for by the roots it walks.
 
 There is no decrease-key and hence no marks or cascading cuts: the only
 structural moves are set_front (in constant time: unhook the origin's node
@@ -99,12 +101,11 @@ class ActiveForest:
         right[tail] = origin
         left[entry] = origin
         if not self.stale[home]:
-            # both edges enter home, so its own offset cancels
+            # both edges enter home, so its shift cancels
             f = front[entry]
             tgt, w, off = self.tgt, self.w, self.cdsu.off
-            t, tf = tgt[eid], tgt[f]
-            cost = w[eid] if t == home else w[eid] + off[t]
-            cf = w[f] if tf == home else w[f] + off[tf]
+            cost = w[eid] + off[tgt[eid]]
+            cf = w[f] + off[tgt[f]]
             if cost < cf or cost == cf and eid < f:
                 root_ring[home] = origin
 
@@ -200,15 +201,14 @@ class ActiveForest:
         if self.stale[head]:
             return self._consolidate(head)
         e = self.eid[x]
-        t = self.tgt[e]
-        off = self.cdsu.off
-        return e, self.w[e] + (off[t] if head == t else off[t] + off[head])
+        cdsu = self.cdsu
+        return e, self.w[e] + cdsu.off[self.tgt[e]] + cdsu.shift[head]
 
     def _consolidate(self, head: int):
         """Link the head's roots by equal rank, make the minimum root the
         entry and the heap fresh, and return query_min's answer. By
         invariant (1) every root in the list has its home here, so each is
-        keyed with the head's offset and none is moved elsewhere."""
+        keyed without the head's shift and none is moved elsewhere."""
         root_ring = self.root_ring
         x = root_ring[head]
         root_ring[head] = -1
@@ -224,8 +224,7 @@ class ActiveForest:
             nd = x
             x = right[nd]
             e = eid[nd]
-            t = tgt[e]
-            key = (w[e] + (off[t] if head == t else off[t] + off[head])) * m + e
+            key = (w[e] + off[tgt[e]]) * m + e
             r = rank[nd]
             other = bucket[r]
             while other >= 0:
@@ -272,7 +271,7 @@ class ActiveForest:
         left[first] = prev
         root_ring[head] = best
         self.stale[head] = 0
-        return eid[best], best_key // m
+        return eid[best], best_key // m + self.cdsu.shift[head]
 
     # -- debug walk ------------------------------------------------------
 

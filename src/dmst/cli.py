@@ -60,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="dmst",
                      description="minimum spanning arborescence toolkit")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -93,7 +93,7 @@ def _build_parser() -> _Parser:
     pg.add_argument("--seed", type=decimal, default=1)
     pg.add_argument("--out", dest="outfile", default=None)
 
-    return parser
+    return parser, sub.choices
 
 
 def _read_instance(path: str) -> Graph:
@@ -156,7 +156,8 @@ def _cmd_solve(args) -> int:
 
 
 def _fmt_ms(seconds: float) -> str:
-    return f"{seconds * 1000.0:.3f}"
+    # + 0.0 turns a budget of -0 into 0, which prints without its sign
+    return f"{seconds * 1000.0 + 0.0:.3f}"
 
 
 def _bench_rows(graph: Graph, path: str, algo: str, reps: int, timeout):
@@ -274,13 +275,13 @@ def _cmd_gen(args, parser: _Parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subs = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "solve":
         return _cmd_solve(args)
     if args.command == "bench":
-        return _cmd_bench(args, parser)
-    return _cmd_gen(args, parser)
+        return _cmd_bench(args, subs["bench"])
+    return _cmd_gen(args, subs["gen"])
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ PlainDSU tracks super-vertices and weakly connected components of chosen
 edges. ContractionDSU, ggst's, additionally carries an additive cost offset
 per set: contracting a cycle subtracts each member's picked cost from all
 of its incoming edges, and the offsets implement that without touching any
-edge. Tarjan's solver shifts costs in its queues and uses PlainDSU only.
+edge; a set's shift sits apart in ``shift[rep]``, as in Tarjan's queues.
+Tarjan's solver shifts costs in its queues and uses PlainDSU only.
 
 Both classes count the members relabelled by joins in ``visits``, which
 ``counters()`` reports as ``dsu_visits``; finds are not counted.
@@ -62,36 +63,36 @@ class ContractionDSU(PlainDSU):
     """Union-find with an additive offset applied to whole sets.
 
     The current cost of an edge is its stored weight plus ``offset`` of its
-    target. ``off[rep]`` is the offset of rep's whole set; a member's entry
-    is relative to its representative, which callers read from ``parent``.
+    target: ``off[v]``, relative to v's representative (0 at it), plus
+    ``shift[rep]``, the whole set's (0 off representatives). Edges into one
+    set share its shift and compare by ``w + off[target]`` alone.
     """
 
-    __slots__ = ("off",)
+    __slots__ = ("off", "shift")
 
     def __init__(self, n: int):
         super().__init__(n)
         self.off = [0] * n
+        self.shift = [0] * n
 
     def offset(self, v: int) -> int:
-        """v's offset, the set's included."""
-        r = self.parent[v]
-        if r == v:
-            return self.off[v]
-        return self.off[v] + self.off[r]
+        """v's offset, the set's shift included."""
+        return self.off[v] + self.shift[self.parent[v]]
 
     def _relabel(self, ra: int, rb: int) -> None:
-        # rb's members keep their accumulated value, now relative to ra
-        parent, nxt, off = self.parent, self.nxt, self.off
-        d = off[rb] - off[ra]
-        parent[rb] = ra
-        off[rb] = d
-        v = nxt[rb]
-        while v != rb:
+        # rb and its members keep their accumulated value, now relative to ra
+        parent, nxt, off, shift = self.parent, self.nxt, self.off, self.shift
+        d = shift[rb] - shift[ra]
+        shift[rb] = 0
+        v = rb
+        while True:
             parent[v] = ra
             off[v] += d
             v = nxt[v]
+            if v == rb:
+                return
 
     def add_offset(self, rep: int, delta: int) -> None:
         if self.parent[rep] != rep:
             raise ValueError("add_offset requires a set representative")
-        self.off[rep] += delta
+        self.shift[rep] += delta

@@ -14,16 +14,16 @@ reaches, the cheaper of a parallel pair, set by ``af.set_front`` whether
 or not x had one. A new head's edges become fronts, and each replaced
 front is demoted into ``passive[t]`` of its target t, the only record of
 demoted edges. A contraction shifts member costs in the DSU offsets,
-deletes the members' own fronts (their edges became self-loops) and folds
-the members' passive lists, newest member first: an entry whose origin
-lies outside the merged vertex becomes that origin's front when smaller
-in ``(current cost, edge id)``, current cost being weight plus
-``cdsu.offset`` of the target. That leaves one edge per origin into the
-merged vertex, the first in the order every layer uses. Entries whose
-origin was contracted into a later path vertex are dropped by the fold
-that takes in both. A covered vertex is never contracted, so finalizing a
-path frees its passive lists and a front into a covered vertex is dropped
-instead of demoted.
+deletes the members' own fronts (their edges became self-loops), joins
+the members, and then folds their passive lists, newest member first: an
+entry whose origin lies outside the merged vertex becomes that origin's
+front when smaller in ``(cost, edge id)``. Entry and front both enter the
+merged vertex, so its ``cdsu.shift`` cancels and each cost is read as
+weight plus ``cdsu.off`` of the target. That leaves one edge per origin
+into the merged vertex, the first in the order every layer uses; an entry
+whose origin lies inside it is dropped. A covered vertex is never
+contracted, so finalizing a path frees its passive lists and a front into
+a covered vertex is dropped instead of demoted.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class GgstSolver:
         graph = self.graph
         n = graph.n
         cdsu = self.cdsu
-        parent = cdsu.parent
+        parent, off = cdsu.parent, cdsu.off
         af = self.af
         front = af.eid
         org, tgt, w = graph.org, graph.tgt, graph.w
@@ -143,26 +143,25 @@ class GgstSolver:
                 for r in members:
                     if front[r] >= 0:
                         af.delete(r)
-                mem_set = set(members)
-                for r in reversed(members):
-                    bucket = passive[r]
-                    passive[r] = []
-                    for e2 in bucket:
-                        b = parent[org[e2]]
-                        if b in mem_set:
-                            continue
-                        f = front[b]
-                        c2 = w[e2] + cdsu.offset(tgt[e2])
-                        cf = w[f] + cdsu.offset(tgt[f])
-                        # the smaller (cost, eid), so the origin's node still
-                        # precedes each child linked under an older front
-                        if c2 < cf or c2 == cf and e2 < f:
-                            af.set_front(b, e2, parent[tgt[e2]])
                 merged = members[0]
                 for r in members[1:]:
                     a = merged
                     merged = cdsu.join(a, r)
                     af.merge_front(a, r)
+                for r in reversed(members):
+                    bucket = passive[r]
+                    passive[r] = []
+                    for e2 in bucket:
+                        b = parent[org[e2]]
+                        if b == merged:
+                            continue
+                        # the smaller (cost, eid), so the origin's node still
+                        # precedes each child linked under an older front
+                        f = front[b]
+                        c2 = w[e2] + off[tgt[e2]]
+                        cf = w[f] + off[tgt[f]]
+                        if c2 < cf or c2 == cf and e2 < f:
+                            af.set_front(b, e2, merged)
                 log.contract(members, merged)
                 path.append(merged)
                 path_index[merged] = len(path) - 1

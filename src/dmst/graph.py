@@ -15,12 +15,10 @@ from typing import NamedTuple
 
 from .errors import ParseError
 
-# Bounds on input weights, tighter for large vertex counts; they validate
-# outside input. Only tarjan-matrix stores int64 keys, and its queue checks
-# its own key bound; the other configurations hold Python ints.
+# Bound on input weight magnitudes; it validates outside input. Only
+# tarjan-matrix stores int64 keys, and its queue checks its own key bound;
+# the other configurations hold Python ints.
 W_LIMIT = 2**32
-W_LIMIT_BIG_N = 2**24
-N_SOFT_LIMIT = 2**20
 
 
 class Edge(NamedTuple):
@@ -91,12 +89,11 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"negative count in header, line {hno}")
     if not (n == 0 or 0 <= root < n):
         raise ParseError(f"root out of range, line {hno}")
-    w_limit = W_LIMIT_BIG_N if n > N_SOFT_LIMIT else W_LIMIT
 
     org: list[int] = []
     tgt: list[int] = []
     ws: list[int] = []
-    cols = ((org, 0, n - 1), (tgt, 0, n - 1), (ws, -w_limit, w_limit))
+    cols = ((org, 0, n - 1), (tgt, 0, n - 1), (ws, -W_LIMIT, W_LIMIT))
     for start in range(hno, len(lines), PARSE_CHUNK):
         chunk = lines[start:start + PARSE_CHUNK]
         if _columns(chunk, cols):
@@ -110,7 +107,7 @@ def parse_edge_list(text: str) -> Graph:
             u, v, w = (_parse_int(t, lineno) for t in parts)
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"index out of range, line {lineno}")
-            if abs(w) > w_limit:
+            if abs(w) > W_LIMIT:
                 raise ParseError(f"weight out of bound, line {lineno}")
             org.append(u)
             tgt.append(v)

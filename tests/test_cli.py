@@ -361,7 +361,10 @@ def test_bench_negative_zero_timeout_is_zero(tmp_path, capsys):
     assert run_cli(["bench", "--algos", "ggst", "--in", str(inp),
                     "--timeout", "-0", "--csv", str(out)]) == 0
     capsys.readouterr()
-    assert [(r[4], r[9]) for r in read_rows(out)[1:]] == [("", "timeout")]
+    rows = read_rows(out)[1:]
+    assert [(r[4], r[9]) for r in rows] == [("", "timeout")]
+    # the budget fills the four phase fields, without the sign of -0
+    assert rows[0][5:9] == ["0.000"] * 4
 
 
 def test_bench_infinite_timeout_is_no_limit(tmp_path, capsys):
@@ -511,6 +514,36 @@ def test_integer_options_refuse_non_decimal_text(argv, tmp_path, capsys):
     assert run_cli(argv) == 64
     out, err = capsys.readouterr()
     assert out == "" and "invalid decimal value" in err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--algos", "ggst", "--in", "{inp}", "--timeout", "nan",
+     "--csv", "{csv}"],
+    ["bench", "--algos", "ggst", "--in", "{inp}", "--timeout=-1",
+     "--csv", "{csv}"],
+    ["bench", "--algos", "ggst", "--in", "{inp}", "--reps", "0",
+     "--csv", "{csv}"],
+    ["bench", "--algos", "ggst,quux", "--in", "{inp}", "--csv", "{csv}"],
+    ["bench", "--algos", " , ", "--in", "{inp}", "--csv", "{csv}"],
+    ["gen", "antilemon"],
+    ["gen", "antilemon", "--k", "2"],
+    ["gen", "er-rooted", "--n", "5"],
+    ["gen", "er-rooted", "--n", "5", "--m", "3"],
+])
+def test_subcommand_usage_errors_show_its_usage(argv, tmp_path, capsys):
+    # checks made after parsing print the subcommand's usage line, as
+    # argparse does for a malformed option value
+    inp = tmp_path / "tri.txt"
+    inp.write_text(G_TRI_TEXT)
+    csv_path = tmp_path / "rows.csv"
+    argv = [a.format(inp=inp, csv=csv_path) for a in argv]
+    assert run_cli(argv) == 64
+    prog = f"dmst {argv[0]}"
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert f"\n{prog}: error: " in err
     assert not csv_path.exists()
 
 

@@ -78,6 +78,15 @@ def test_offset_idempotent_after_joins():
     assert d.find(d.find(7)) == d.find(7)
 
 
+def _assert_frame(d: ContractionDSU):
+    # off is relative to the representative; only a representative shifts
+    for v, r in enumerate(d.parent):
+        if r == v:
+            assert d.off[v] == 0, "representative's own off is not 0"
+        else:
+            assert d.shift[v] == 0, "shift left on a non-representative"
+
+
 def test_offsets_against_shadow_oracle():
     # naive shadow: explicit per-vertex offset updated on every op
     rng = random.Random(314)
@@ -106,12 +115,13 @@ def test_offsets_against_shadow_oracle():
             v = rng.randrange(n)
             w = rng.randint(-100, 100)
             assert w + d.offset(v) == w + shadow[v]
+        _assert_frame(d)
     for v in range(n):
         assert 5 + d.offset(v) == 5 + shadow[v]
 
 
 def _state(d: ContractionDSU):
-    return (d.parent[:], d.size[:], d.nxt[:], d.off[:], d.visits)
+    return (d.parent[:], d.size[:], d.nxt[:], d.off[:], d.shift[:], d.visits)
 
 
 def test_sets_stay_flat_and_finds_keep_state():
@@ -148,6 +158,7 @@ def test_sets_stay_flat_and_finds_keep_state():
                    for u in range(n) for v in range(n))
         for v in range(n):
             assert d.offset(v) == shadow[v]
+        _assert_frame(d)
 
 
 @pytest.mark.parametrize("cls", [PlainDSU, ContractionDSU])

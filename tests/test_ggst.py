@@ -67,6 +67,32 @@ def test_oracle_sweep_with_debug_checks():
         assert sum(g.edges[e].weight for e in ids) == want
 
 
+def test_post_join_fold_matches_scan_forest():
+    # both contractions fold a passive edge into the front of an origin
+    # outside the merged vertex; the fold runs after the joins, so its
+    # set_front calls are those into a set of more than one vertex
+    # (_extend's head is always a single vertex)
+    g = gen_er_rooted(6, 18, 2, 5)
+    solver = GgstSolver(g, debug=True)
+    size, set_front = solver.cdsu.size, solver.af.set_front
+    folded = []
+
+    def counting(origin, eid, home):
+        if size[home] > 1:
+            folded.append(eid)
+        set_front(origin, eid, home)
+
+    solver.af.set_front = counting
+    r = solver.run()
+    ref = scan_ggst(g)
+    assert folded == [6, 0]
+    assert r.total_weight == ref.total_weight == 6
+    assert r.picked == ref.picked == [3, 5, 16, 6, 13, 0, 1]
+    assert r.forest_parent == ref.forest_parent
+    assert r.counters == ref.counters
+    assert r.counters["contractions"] == 2
+
+
 def test_equal_cost_fold_keeps_the_strict_order():
     # origin 3 moves from edge 2 (into 0) to edge 5 (into the new head 1),
     # carrying its child, origin 5's edge 3 into 0; the contraction that

@@ -60,6 +60,12 @@ def test_weight_bound():
     assert g.edges[0].weight == big
     with pytest.raises(ParseError, match="weight out of bound"):
         parse_edge_list(f"2 1 0\n0 1 -{big + 1}\n")
+    # one bound at every vertex count, above 2**20 vertices too
+    text = f"{2**20 + 1} 1 0\n0 1 {{}}\n"
+    assert parse_edge_list(text.format(2**24 + 1)).w == [2**24 + 1]
+    assert parse_edge_list(text.format(-big)).w == [-big]
+    with pytest.raises(ParseError, match="^weight out of bound, line 2$"):
+        parse_edge_list(text.format(big + 1))
 
 
 @pytest.mark.parametrize("text", [
