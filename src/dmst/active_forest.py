@@ -23,16 +23,17 @@ consolidated, keying each root by one int, ``cost * m + eid`` with m the
 edge count and cost without the shift, which orders like ``(cost, eid)``
 and gives that cost back as ``key // m``; the winner becomes the entry
 and the heap fresh again. set_front keeps a fresh heap's entry at its
-minimum with one comparison. A heap goes stale when its entry is
-unhooked, when delete splices a child into its non-empty root list, and
-when merge_front joins two non-empty root lists; each consolidation is
-paid for by the roots it walks.
+minimum with one comparison, and fill leaves a new head's heap fresh. A
+heap goes stale when its entry is unhooked, when delete splices a child
+into its non-empty root list, and when merge_front joins two non-empty
+root lists; each consolidation is paid for by the roots it walks.
 
 There is no decrease-key and hence no marks or cascading cuts: the only
 structural moves are set_front (in constant time: unhook the origin's node
 if it has one, store the new edge, splice the node into the new home's
-root list with its subtree riding along), delete (children return to their
-own home heaps), the root-list concatenation merge, and consolidation.
+root list with its subtree riding along), fill (that move for all edges
+into a new head in one pass), delete (children return to their own home
+heaps), the root-list concatenation merge, and consolidation.
 Without cascading cuts a rank is bounded only by n - 1, not by O(log n),
 so consolidation's rank buckets are a reusable list of length n.
 
@@ -77,8 +78,8 @@ class ActiveForest:
                 "af_merges": self.merges}
 
     # -- public operations ---------------------------------------------
-    # Root-list splices are written out inline on the hot paths, set_front
-    # and delete's child loop: a shared splice helper costs a call per
+    # Root-list splices are written out inline on the hot paths, set_front,
+    # fill and delete's child loop: a shared splice helper costs a call per
     # splice and measured 2-8 % slower per ggst solve.
 
     def set_front(self, origin: int, eid: int, home: int) -> None:
@@ -108,6 +109,66 @@ class ActiveForest:
             cf = w[f] + off[tgt[f]]
             if cost < cf or cost == cf and eid < f:
                 root_ring[home] = origin
+
+    def fill(self, home: int, in_edges, org: list[int],
+             passive: list[list[int]], covered) -> None:
+        """set_front for each edge of in_edges into the new head home, in
+        one pass that skips an origin inside home and keeps the smaller
+        (cost, eid) of two parallel edges; a replaced front into t goes to
+        passive[t] unless t is covered. home's heap must be empty and home
+        an uncontracted singleton, so costs are plain weights."""
+        root_ring = self.root_ring
+        if root_ring[home] >= 0:
+            raise ValueError(f"heap {home} is not empty")
+        rep, tgt, w, front = self.cdsu.parent, self.tgt, self.w, self.eid
+        left, right, up, child = self.left, self.right, self.parent, self.child
+        first = last = best = -1
+        bw = 0  # best's cost
+        for e in in_edges:
+            x = rep[org[e]]
+            if x == home:
+                continue
+            c = w[e]
+            f = front[x]
+            tf = rep[tgt[f]] if f >= 0 else -1
+            if tf == home:  # x's node stays where it is in home's list
+                if c > w[f] or c == w[f] and e > f:
+                    continue
+            else:
+                if tf >= 0:
+                    if not covered[tf]:
+                        passive[tf].append(f)
+                    # _detach's unhook, with the old home tf already read
+                    r = right[x]
+                    if r != x:
+                        lx = left[x]
+                        right[lx] = r
+                        left[r] = lx
+                    else:
+                        r = -1
+                    p = up[x]
+                    if p >= 0:
+                        if child[p] == x:
+                            child[p] = r
+                        self.rank[p] -= 1
+                        up[x] = -1
+                    elif root_ring[tf] == x:
+                        root_ring[tf] = r
+                        self.stale[tf] = 1
+                if first < 0:
+                    first = x
+                else:  # home's list in in-edge order, closed after the loop
+                    right[last] = x
+                    left[x] = last
+                last = x
+            front[x] = e
+            if best < 0 or c < bw or c == bw and e < front[best]:
+                best, bw = x, c
+        if first >= 0:
+            right[last] = first
+            left[first] = last
+            root_ring[home] = best
+            self.stale[home] = 0
 
     def _detach(self, x: int) -> None:
         """Unhook x from its parent's child ring, or from its home heap's

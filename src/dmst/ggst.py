@@ -10,20 +10,19 @@ growth restarts at the lowest-index uncovered vertex.
 
 Each origin super-vertex x has at most one active edge, its front
 ``af.eid[x]`` in the ActiveForest: its edge into the newest path vertex it
-reaches, the cheaper of a parallel pair, set by ``af.set_front`` whether
-or not x had one. A new head's edges become fronts, and each replaced
-front is demoted into ``passive[t]`` of its target t, the only record of
-demoted edges. A contraction shifts member costs in the DSU offsets,
-deletes the members' own fronts (their edges became self-loops), joins
-the members, and then folds their passive lists, newest member first: an
-entry whose origin lies outside the merged vertex becomes that origin's
-front when smaller in ``(cost, edge id)``. Entry and front both enter the
-merged vertex, so its ``cdsu.shift`` cancels and each cost is read as
-weight plus ``cdsu.off`` of the target. That leaves one edge per origin
-into the merged vertex, the first in the order every layer uses; an entry
-whose origin lies inside it is dropped. A covered vertex is never
-contracted, so finalizing a path frees its passive lists and a front into
-a covered vertex is dropped instead of demoted.
+reaches, the cheaper of a parallel pair. A new head's edges become fronts
+in one ``af.fill``, which demotes each replaced front into ``passive[t]``
+of its target t, the only record of demoted edges. A contraction shifts
+member costs in the DSU offsets, deletes the members' own fronts (their
+edges became self-loops), joins the members, and then folds their passive
+lists, newest member first: an entry whose origin lies outside the merged
+vertex becomes that origin's front when smaller in ``(cost, edge id)``.
+Entry and front both enter the merged vertex, so its ``cdsu.shift``
+cancels and each cost is read as weight plus ``cdsu.off`` of the target. That leaves one edge per origin into the merged vertex,
+the first in the order every layer uses; an entry whose origin lies
+inside it is dropped. A covered vertex is never contracted, so finalizing
+a path frees its passive lists and a front into a covered vertex is
+dropped instead of demoted.
 """
 
 from __future__ import annotations
@@ -63,29 +62,12 @@ class GgstSolver:
             self.covered[root] = 1
 
     def _extend(self, u: int) -> None:
-        """u becomes the new head: each incoming edge becomes its origin's
-        front. Of two parallel edges into u the cheaper stays; a front
-        into an older path vertex is demoted to that vertex's passive list."""
-        parent = self.cdsu.parent
-        org, tgt, w = self.graph.org, self.graph.tgt, self.graph.w
-        af = self.af
-        front = af.eid
-        passive, covered = self.passive, self.covered
-        for eid in self.in_adj[u]:
-            x = parent[org[eid]]
-            if x == u:
-                continue
-            f = front[x]
-            if f >= 0:
-                tf = parent[tgt[f]]
-                if tf == u:
-                    # f came earlier in this loop: on a cost tie it keeps
-                    # the smaller edge id
-                    if w[eid] >= w[f]:
-                        continue
-                elif not covered[tf]:
-                    passive[tf].append(f)
-            af.set_front(x, eid, u)
+        """u becomes the new head, its incoming edges made fronts."""
+        if self.debug:
+            assert self.cdsu.size[u] == 1 and self.cdsu.shift[u] == 0, \
+                "new head is not an uncontracted singleton"
+        self.af.fill(u, self.in_adj[u], self.graph.org, self.passive,
+                     self.covered)
 
     def run(self) -> SolveResult:
         graph = self.graph
@@ -110,10 +92,9 @@ class GgstSolver:
                     next_start += 1
                 if next_start == n:
                     break
-                h = next_start
-                path.append(h)
-                path_index[h] = 0
-                self._extend(h)
+                path.append(next_start)
+                path_index[next_start] = 0
+                self._extend(next_start)
                 continue
             if debug:
                 self._debug_check(path, path_index)

@@ -113,6 +113,23 @@ class ScanForest:
     def set_front(self, origin: int, eid: int, home: int) -> None:
         self.eid[origin] = eid
 
+    def fill(self, home: int, in_edges, org, passive, covered) -> None:
+        """ActiveForest.fill's fronts and demotions, one edge at a time."""
+        find, front = self.cdsu.find, self.eid
+        for e in in_edges:
+            x = find(org[e])
+            if x == home:
+                continue
+            f = front[x]
+            if f >= 0:
+                t = find(self.tgt[f])
+                if t == home:
+                    if (self.w[f], f) < (self.w[e], e):
+                        continue
+                elif not covered[t]:
+                    passive[t].append(f)
+            front[x] = e
+
     def delete(self, origin: int) -> None:
         if self.eid[origin] < 0:
             raise ValueError(f"origin {origin} has no active edge")

@@ -391,6 +391,110 @@ def test_merging_two_nonempty_heaps_makes_the_merged_heap_stale():
     assert rig.af.query_min(m) == (best, 3)
 
 
+def fill(rig: Rig, home: int, eids: list[int], passive=None,
+         covered=None) -> None:
+    """``af.fill`` of home with eids, as the solver calls it."""
+    passive = passive if passive is not None else [[] for _ in range(rig.cap)]
+    covered = covered if covered is not None else bytearray(rig.cap)
+    rig.af.fill(home, eids, rig.org, passive, covered)
+
+
+def test_fill_files_each_origin_once_with_the_minimum_as_entry():
+    rig = Rig()
+    h = rig.extend()
+    # a self-loop, then origins 5, 6 and 7; 6 and 7 tie at cost 1
+    eids = [rig.add_edge(h, h, -9)]
+    for o, c in ((5, 3), (6, 1), (7, 1)):
+        rig.active[o] = rig.add_edge(o, h, c)
+    fill(rig, h, eids + list(rig.active.values()))
+    af = rig.af
+    # the ring from its entry, 6, in in-edge order
+    assert rig.ring(af.root_ring[h]) == [6, 7, 5] and af.stale[h] == 0
+    assert af.query_min(h) == rig.scan_min(h) == (rig.active[6], 1)
+    af.check_invariants(rig.pos)
+
+
+@pytest.mark.parametrize("costs, order", [
+    ((6, 4, 2, 9), (0, 1, 2, 3)),   # origin 5's later edge is cheaper
+    ((4, 4, 4, 9), (2, 1, 0, 3)),   # equal costs: the smaller id wins
+])
+def test_fill_parallel_edge_replaces_the_front_and_moves_the_entry(
+        costs, order):
+    rig = Rig()
+    h = rig.extend()
+    e = [rig.add_edge(o, h, c) for o, c in zip((5, 6, 5, 5), costs)]
+    fill(rig, h, [e[i] for i in order])
+    rig.active = {5: min(e[0], e[2], key=lambda x: (rig.w[x], x)), 6: e[1]}
+    af = rig.af
+    assert af.eid[5] == rig.active[5] and af.eid[6] == e[1]
+    assert rig.ring(af.root_ring[h]) == [5, 6] and af.stale[h] == 0
+    assert af.query_min(h) == rig.scan_min(h) == (rig.active[5], costs[2])
+    af.check_invariants(rig.pos)
+
+
+def test_fill_moving_the_entry_leaves_its_old_heap_stale():
+    rig = Rig()
+    a = rig.extend()
+    b = rig.extend()
+    for o, c in ((3, 1), (4, 5), (5, 2)):
+        add_front(rig, o, a, c)
+    assert rig.af.root_ring[a] == 3 and rig.af.stale[a] == 0
+    rig.active[3] = rig.add_edge(3, b, 9)
+    fill(rig, b, [rig.active[3]])
+    assert rig.af.query_min(b) == (rig.active[3], 9)
+    assert_query_consolidates(rig, a)
+    assert rig.af.query_min(a) == (rig.active[5], 2)
+
+
+def test_fill_moving_a_child_lowers_its_parents_rank_and_carries_its_subtree():
+    rig = Rig()
+    a = rig.extend()
+    b = rig.extend()
+    for o, c in ((3, 1), (4, 2), (5, 3), (6, 4)):
+        add_front(rig, o, a, c)
+    af = rig.af
+    af._consolidate(a)                    # 3 over 4 and 5, 5 over 6
+    assert af.rank[3] == 2 and af.parent[5] == 3 and af.parent[6] == 5
+    rig.active[5] = rig.add_edge(5, b, 7)
+    fill(rig, b, [rig.active[5]])
+    assert af.rank[3] == 1 and rig.ring(af.child[3]) == [4]
+    assert af.parent[5] == -1 and rig.ring(af.root_ring[b]) == [5]
+    assert af.rank[5] == 1 and rig.ring(af.child[5]) == [6]
+    af.check_invariants(rig.pos)
+    assert af.stale[a] == 0
+    assert af.query_min(a) == rig.scan_min(a) == (rig.active[3], 1)
+    assert af.query_min(b) == rig.scan_min(b) == (rig.active[5], 7)
+
+
+def test_fill_demotes_replaced_fronts_in_in_edge_order():
+    rig = Rig()
+    a, b, c, d = (rig.extend() for _ in range(4))
+    old = {o: add_front(rig, o, t, 1) for o, t in ((10, b), (11, a),
+                                                   (12, c), (13, b))}
+    new = {o: rig.add_edge(o, d, 2) for o in (13, 11, 12, 10)}
+    passive = [[] for _ in range(rig.cap)]
+    covered = bytearray(rig.cap)
+    covered[a] = 1
+    fill(rig, d, list(new.values()), passive, covered)
+    rig.active.update(new)
+    assert passive[b] == [old[13], old[10]] and passive[c] == [old[12]]
+    assert passive[a] == []
+    assert rig.ring(rig.af.root_ring[d]) == [13, 11, 12, 10]
+    for t in (a, b, c):
+        assert rig.af.query_min(t) is None
+    assert rig.af.query_min(d) == rig.scan_min(d) == (new[13], 2)
+    rig.af.check_invariants(rig.pos)
+
+
+def test_fill_refuses_a_heap_that_is_not_empty():
+    rig = Rig()
+    h = rig.extend()
+    add_front(rig, 3, h, 1)
+    with pytest.raises(ValueError, match="not empty"):
+        fill(rig, h, [rig.add_edge(4, h, 2)])
+    assert rig.af.eid[4] == -1
+
+
 def run_af_sequence(seed: int, nops: int, check_every_op: bool = True) -> None:
     """One randomized operation sequence checked against the scan oracle
     and the debug invariant walk."""

@@ -69,17 +69,14 @@ def test_oracle_sweep_with_debug_checks():
 
 def test_post_join_fold_matches_scan_forest():
     # both contractions fold a passive edge into the front of an origin
-    # outside the merged vertex; the fold runs after the joins, so its
-    # set_front calls are those into a set of more than one vertex
-    # (_extend's head is always a single vertex)
+    # outside the merged vertex; the fold is set_front's only caller
     g = gen_er_rooted(6, 18, 2, 5)
     solver = GgstSolver(g, debug=True)
-    size, set_front = solver.cdsu.size, solver.af.set_front
+    set_front = solver.af.set_front
     folded = []
 
     def counting(origin, eid, home):
-        if size[home] > 1:
-            folded.append(eid)
+        folded.append(eid)
         set_front(origin, eid, home)
 
     solver.af.set_front = counting
@@ -91,6 +88,19 @@ def test_post_join_fold_matches_scan_forest():
     assert r.forest_parent == ref.forest_parent
     assert r.counters == ref.counters
     assert r.counters["contractions"] == 2
+
+
+@pytest.mark.parametrize("prep", ["shift", "join"])
+def test_debug_check_wants_a_new_head_uncontracted_and_unshifted(prep):
+    # fill reads a new head's costs as plain weights
+    solver = GgstSolver(gen_er_rooted(6, 18, 2, 5), debug=True)
+    cdsu = solver.cdsu
+    if prep == "shift":
+        cdsu.add_offset(1, 3)
+    else:
+        cdsu.join(1, 2)
+    with pytest.raises(AssertionError, match="uncontracted singleton"):
+        solver._extend(cdsu.parent[1])
 
 
 def test_equal_cost_fold_keeps_the_strict_order():
