@@ -22,18 +22,24 @@ a fresh heap returns the entry in constant time. Only a stale heap is
 consolidated, keying each root by one int, ``cost * m + eid`` with m the
 edge count and cost without the shift, which orders like ``(cost, eid)``
 and gives that cost back as ``key // m``; the winner becomes the entry
-and the heap fresh again. set_front keeps a fresh heap's entry at its
-minimum with one comparison, and fill leaves a new head's heap fresh. A
-heap goes stale when its entry is unhooked, when delete splices a child
-into its non-empty root list, and when merge_front joins two non-empty
-root lists; each consolidation is paid for by the roots it walks.
+and the heap fresh again. fill keeps the running minimum of the edges
+it files, so a fresh or empty heap ends fresh with that minimum as its
+entry, and a stale heap stays stale. A heap goes stale when its entry
+is unhooked, when delete splices a child into its non-empty root list,
+and when merge_front joins two non-empty root lists; each consolidation
+is paid for by the roots it walks.
 
-There is no decrease-key and hence no marks or cascading cuts: the only
-structural moves are set_front (in constant time: unhook the origin's node
-if it has one, store the new edge, splice the node into the new home's
-root list with its subtree riding along), fill (that move for all edges
-into a new head in one pass), delete (children return to their own home
-heaps), the root-list concatenation merge, and consolidation.
+fill is the only way an edge enters a heap, for a new path head and for
+a contraction's fold alike. Per edge it keeps the smaller ``(cost, eid)``
+of the origin's front and the edge. An origin without a front, or one
+whose front enters another heap, has its node spliced into home's root
+list, a moved node unhooked first with its subtree riding along. An
+origin whose front into home is replaced keeps its node: a root stays
+where it is, and a child is cut from its parent, which drops a rank,
+since its new key may precede the parent's. There are no marks or
+cascading cuts: the only structural moves are fill's, delete's (children
+return to their own home heaps), the root-list concatenation merge, and
+consolidation.
 Without cascading cuts a rank is bounded only by n - 1, not by O(log n),
 so consolidation's rank buckets are a reusable list of length n.
 
@@ -49,12 +55,16 @@ A node's home heap is the heap of its target's representative,
 
 from __future__ import annotations
 
+from math import inf
+
 from .dsu import ContractionDSU
 
 
 class ActiveForest:
-    def __init__(self, cdsu: ContractionDSU, tgt: list[int], w: list[int]):
+    def __init__(self, cdsu: ContractionDSU, org: list[int], tgt: list[int],
+                 w: list[int]):
         self.cdsu = cdsu
+        self.org = org
         self.tgt = tgt
         self.w = w
         n = len(cdsu.parent)
@@ -78,135 +88,118 @@ class ActiveForest:
                 "af_merges": self.merges}
 
     # -- public operations ---------------------------------------------
-    # Root-list splices are written out inline on the hot paths, set_front,
-    # fill and delete's child loop: a shared splice helper costs a call per
+    # Unhooks and root-list splices are written out inline in fill and
+    # delete, the hot paths: a shared splice helper costs a call per
     # splice and measured 2-8 % slower per ggst solve.
 
-    def set_front(self, origin: int, eid: int, home: int) -> None:
-        """Make eid origin's active edge in home's heap, home being
-        parent[target of eid]; an active node moves with its subtree."""
-        front = self.eid
-        if front[origin] >= 0:
-            self._detach(origin)
-        front[origin] = eid
-        left, right, root_ring = self.left, self.right, self.root_ring
-        entry = root_ring[home]
-        if entry < 0:
-            left[origin] = right[origin] = origin
-            root_ring[home] = origin
-            self.stale[home] = 0
-            return
-        tail = left[entry]
-        left[origin] = tail
-        right[origin] = entry
-        right[tail] = origin
-        left[entry] = origin
-        if not self.stale[home]:
-            # both edges enter home, so its shift cancels
-            f = front[entry]
-            tgt, w, off = self.tgt, self.w, self.cdsu.off
-            cost = w[eid] + off[tgt[eid]]
-            cf = w[f] + off[tgt[f]]
-            if cost < cf or cost == cf and eid < f:
-                root_ring[home] = origin
-
-    def fill(self, home: int, in_edges, org: list[int],
-             passive: list[list[int]], covered) -> None:
-        """set_front for each edge of in_edges into the new head home, in
-        one pass that skips an origin inside home and keeps the smaller
-        (cost, eid) of two parallel edges; a replaced front into t goes to
-        passive[t] unless t is covered. home's heap must be empty and home
-        an uncontracted singleton, so costs are plain weights."""
-        root_ring = self.root_ring
-        if root_ring[home] >= 0:
-            raise ValueError(f"heap {home} is not empty")
-        rep, tgt, w, front = self.cdsu.parent, self.tgt, self.w, self.eid
+    def fill(self, home: int, edges, passive: list[list[int]],
+             covered) -> None:
+        """File each edge of edges into home's heap, home being the
+        representative of every target, in one pass: skip an origin inside
+        home, and keep the smaller (cost, eid) of the origin's front and the
+        edge. A replaced front into another heap t goes to passive[t] unless
+        t is covered, and its node moves to home with its subtree; one that
+        enters home keeps its node, cut from its parent if it has one."""
+        rep, off = self.cdsu.parent, self.cdsu.off
+        org, tgt, w, front = self.org, self.tgt, self.w, self.eid
         left, right, up, child = self.left, self.right, self.parent, self.child
-        first = last = best = -1
-        bw = 0  # best's cost
-        for e in in_edges:
+        root_ring = self.root_ring
+        first = last = -1
+        best = entry = root_ring[home]  # the running minimum, and its cost
+        bw = w[front[best]] + off[tgt[front[best]]] if best >= 0 else inf
+        for e in edges:
             x = rep[org[e]]
             if x == home:
                 continue
-            c = w[e]
+            c = w[e] + off[tgt[e]]
             f = front[x]
-            tf = rep[tgt[f]] if f >= 0 else -1
-            if tf == home:  # x's node stays where it is in home's list
-                if c > w[f] or c == w[f] and e > f:
-                    continue
-            else:
-                if tf >= 0:
-                    if not covered[tf]:
-                        passive[tf].append(f)
-                    # _detach's unhook, with the old home tf already read
-                    r = right[x]
-                    if r != x:
-                        lx = left[x]
-                        right[lx] = r
-                        left[r] = lx
-                    else:
-                        r = -1
-                    p = up[x]
-                    if p >= 0:
-                        if child[p] == x:
-                            child[p] = r
-                        self.rank[p] -= 1
-                        up[x] = -1
-                    elif root_ring[tf] == x:
-                        root_ring[tf] = r
-                        self.stale[tf] = 1
-                if first < 0:
-                    first = x
-                else:  # home's list in in-edge order, closed after the loop
-                    right[last] = x
-                    left[x] = last
-                last = x
+            if f >= 0:
+                tf = rep[tgt[f]]
+                if tf == home:  # both edges enter home, so its shift cancels
+                    cf = w[f] + off[tgt[f]]
+                    if c > cf or c == cf and e > f:
+                        continue
+                    if up[x] < 0:  # a root is re-keyed where it is
+                        front[x] = e
+                        if c < bw or c == bw and e < front[best]:
+                            best, bw = x, c
+                        continue
+                    # a child is cut: its new key may precede its parent's
+                elif not covered[tf]:
+                    passive[tf].append(f)
+                # delete's unhook, with the old home tf already read
+                r = right[x]
+                if r != x:
+                    lx = left[x]
+                    right[lx] = r
+                    left[r] = lx
+                else:
+                    r = -1
+                p = up[x]
+                if p >= 0:
+                    if child[p] == x:
+                        child[p] = r
+                    self.rank[p] -= 1
+                    up[x] = -1
+                elif root_ring[tf] == x:
+                    root_ring[tf] = r
+                    self.stale[tf] = 1
+            if first < 0:
+                first = x
+            else:  # the new nodes in edge order, spliced in after the loop
+                right[last] = x
+                left[x] = last
+            last = x
             front[x] = e
-            if best < 0 or c < bw or c == bw and e < front[best]:
+            if c < bw or c == bw and e < front[best]:
                 best, bw = x, c
         if first >= 0:
-            right[last] = first
-            left[first] = last
-            root_ring[home] = best
-            self.stale[home] = 0
+            if entry < 0:  # the new nodes close into home's ring
+                right[last] = first
+                left[first] = last
+                self.stale[home] = 0
+            else:  # they go before the entry, as delete's splice does
+                tail = left[entry]
+                right[tail] = first
+                left[first] = tail
+                right[last] = entry
+                left[entry] = last
+        root_ring[home] = best  # any root will do as a stale heap's entry
 
-    def _detach(self, x: int) -> None:
-        """Unhook x from its parent's child ring, or from its home heap's
-        root list. The subtree below stays attached."""
-        left, right = self.left, self.right
-        r = right[x]
-        if r != x:
-            lx = left[x]
+    def delete(self, origin: int) -> None:
+        """Drop origin's active edge: unhook its node from its parent's
+        child ring or its home's root list, and return its children to
+        their own home heaps."""
+        eid, up, left, right = self.eid, self.parent, self.left, self.right
+        rep, tgt, root_ring = self.cdsu.parent, self.tgt, self.root_ring
+        stale = self.stale
+        if eid[origin] < 0:
+            raise ValueError(f"origin {origin} has no active edge")
+        r = right[origin]
+        if r != origin:
+            lx = left[origin]
             right[lx] = r
             left[r] = lx
         else:
             r = -1
-        p = self.parent[x]
+        p = up[origin]
         if p >= 0:
-            if self.child[p] == x:
+            if self.child[p] == origin:
                 self.child[p] = r
             self.rank[p] -= 1
-            self.parent[x] = -1
-            return
-        home = self.cdsu.parent[self.tgt[self.eid[x]]]
-        if self.root_ring[home] == x:
-            self.root_ring[home] = r
-            self.stale[home] = 1
-
-    def delete(self, origin: int) -> None:
-        if self.eid[origin] < 0:
-            raise ValueError(f"origin {origin} has no active edge")
-        self._detach(origin)
-        self.eid[origin] = -1
+            up[origin] = -1
+        else:
+            home = rep[tgt[eid[origin]]]
+            if root_ring[home] == origin:
+                root_ring[home] = r
+                stale[home] = 1
+        eid[origin] = -1
         self.deletes += 1
         c = self.child[origin]
         if c < 0:
             return
         self.child[origin] = -1
         self.rank[origin] = 0
-        eid, up, left, right = self.eid, self.parent, self.left, self.right
-        rep, tgt, root_ring = self.cdsu.parent, self.tgt, self.root_ring
-        stale = self.stale
         x = c
         while True:
             nxt = right[x]

@@ -15,14 +15,14 @@ in one ``af.fill``, which demotes each replaced front into ``passive[t]``
 of its target t, the only record of demoted edges. A contraction shifts
 member costs in the DSU offsets, deletes the members' own fronts (their
 edges became self-loops), joins the members, and then folds their passive
-lists, newest member first: an entry whose origin lies outside the merged
-vertex becomes that origin's front when smaller in ``(cost, edge id)``.
-Entry and front both enter the merged vertex, so its ``cdsu.shift``
-cancels and each cost is read as weight plus ``cdsu.off`` of the target. That leaves one edge per origin into the merged vertex,
-the first in the order every layer uses; an entry whose origin lies
-inside it is dropped. A covered vertex is never contracted, so finalizing
-a path frees its passive lists and a front into a covered vertex is
-dropped instead of demoted.
+lists, newest member first, by one ``af.fill`` into the merged vertex: an
+entry whose origin lies outside it becomes that origin's front when
+smaller in ``(cost, edge id)``, the first in the order every layer uses,
+and an entry whose origin lies inside it is dropped. Every such origin's
+front already enters the merged vertex, so the fold demotes nothing. A
+covered vertex is never contracted, so finalizing a path frees its
+passive lists and a front into a covered vertex is dropped instead of
+demoted.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class GgstSolver:
         self.debug = debug
         n, root = graph.n, graph.root
         self.cdsu = ContractionDSU(n)
-        self.af = ActiveForest(self.cdsu, graph.tgt, graph.w)
+        self.af = ActiveForest(self.cdsu, graph.org, graph.tgt, graph.w)
         # every edge by target: _extend never runs on the root, and it
         # skips a self-loop as an edge from the head itself
         in_adj: list[list[int]] = [[] for _ in range(n)]
@@ -66,14 +66,13 @@ class GgstSolver:
         if self.debug:
             assert self.cdsu.size[u] == 1 and self.cdsu.shift[u] == 0, \
                 "new head is not an uncontracted singleton"
-        self.af.fill(u, self.in_adj[u], self.graph.org, self.passive,
-                     self.covered)
+        self.af.fill(u, self.in_adj[u], self.passive, self.covered)
 
     def run(self) -> SolveResult:
         graph = self.graph
         n = graph.n
         cdsu = self.cdsu
-        parent, off = cdsu.parent, cdsu.off
+        parent = cdsu.parent
         af = self.af
         front = af.eid
         org, tgt, w = graph.org, graph.tgt, graph.w
@@ -129,20 +128,12 @@ class GgstSolver:
                     a = merged
                     merged = cdsu.join(a, r)
                     af.merge_front(a, r)
+                entries = []
                 for r in reversed(members):
-                    bucket = passive[r]
+                    entries += passive[r]
                     passive[r] = []
-                    for e2 in bucket:
-                        b = parent[org[e2]]
-                        if b == merged:
-                            continue
-                        # the smaller (cost, eid), so the origin's node still
-                        # precedes each child linked under an older front
-                        f = front[b]
-                        c2 = w[e2] + off[tgt[e2]]
-                        cf = w[f] + off[tgt[f]]
-                        if c2 < cf or c2 == cf and e2 < f:
-                            af.set_front(b, e2, merged)
+                if entries:  # skips fill's set-up on the many empty folds
+                    af.fill(merged, entries, passive, covered)
                 log.contract(members, merged)
                 path.append(merged)
                 path_index[merged] = len(path) - 1

@@ -68,6 +68,19 @@ def _parse_int(tok: str, lineno: int) -> int:
 PARSE_CHUNK = 256
 
 
+# str.splitlines also breaks a line at these, which str.split reads as blanks
+_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_AS_SPACES = str.maketrans(_BREAKS, " " * len(_BREAKS))
+
+
+def _lines(text: str) -> list[str]:
+    """text's lines, ended by \\n, \\r\\n or \\r only, so a ParseError counts
+    those; other breaks become spaces, copying only text that has them."""
+    if any(c in text for c in _BREAKS):
+        text = text.translate(_AS_SPACES)
+    return text.splitlines()
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the ``n m r`` edge-list format.
 
@@ -77,7 +90,7 @@ def parse_edge_list(text: str) -> Graph:
     ParseError names its physical line: malformed lines, out-of-range
     indices, out-of-bound weights and a wrong edge count.
     """
-    lines = text.splitlines()
+    lines = _lines(text)
     hno = next((i for i, raw in enumerate(lines, 1) if raw.split()), 0)
     if not hno:
         raise ParseError("missing header, line 1")
@@ -173,7 +186,7 @@ def parse_plain_edge_list(text: str) -> Graph:
     to vertex 0 and is a placeholder until :func:`attach_super_root`
     designates a real one.
     """
-    lines = text.splitlines()
+    lines = _lines(text)
     us: list[int] = []
     vs: list[int] = []
     cols = ((us, 0, math.inf), (vs, 0, math.inf))

@@ -101,8 +101,8 @@ class ScanForest:
     the forest orders its heaps, so ``scan_ggst`` must give the same picks,
     forest parents and counters as ``ggst_solve``."""
 
-    def __init__(self, cdsu, tgt: list[int], w: list[int]):
-        self.cdsu, self.tgt, self.w = cdsu, tgt, w
+    def __init__(self, cdsu, org: list[int], tgt: list[int], w: list[int]):
+        self.cdsu, self.org, self.tgt, self.w = cdsu, org, tgt, w
         self.eid = [-1] * len(cdsu.parent)
         self.queries = self.deletes = self.merges = 0
 
@@ -110,21 +110,22 @@ class ScanForest:
         return {"af_queries": self.queries, "af_deletes": self.deletes,
                 "af_merges": self.merges}
 
-    def set_front(self, origin: int, eid: int, home: int) -> None:
-        self.eid[origin] = eid
+    def _key(self, e: int):
+        return self.w[e] + self.cdsu.offset(self.tgt[e]), e
 
-    def fill(self, home: int, in_edges, org, passive, covered) -> None:
-        """ActiveForest.fill's fronts and demotions, one edge at a time."""
+    def fill(self, home: int, edges, passive, covered) -> None:
+        """ActiveForest.fill's fronts and demotions, one edge at a time,
+        each kept or replaced by its current (cost, edge id)."""
         find, front = self.cdsu.find, self.eid
-        for e in in_edges:
-            x = find(org[e])
+        for e in edges:
+            x = find(self.org[e])
             if x == home:
                 continue
             f = front[x]
             if f >= 0:
                 t = find(self.tgt[f])
                 if t == home:
-                    if (self.w[f], f) < (self.w[e], e):
+                    if self._key(f) < self._key(e):
                         continue
                 elif not covered[t]:
                     passive[t].append(f)
@@ -150,5 +151,5 @@ class ScanForest:
 def scan_ggst(graph: Graph):
     """ggst's solve with its active forest replaced by a ScanForest."""
     solver = GgstSolver(graph)
-    solver.af = ScanForest(solver.cdsu, graph.tgt, graph.w)
+    solver.af = ScanForest(solver.cdsu, graph.org, graph.tgt, graph.w)
     return solver.run()

@@ -19,7 +19,9 @@ class Rig:
         self.org: list[int] = []
         self.tgt: list[int] = []
         self.w: list[int] = []
-        self.af = ActiveForest(self.cdsu, self.tgt, self.w)
+        self.af = ActiveForest(self.cdsu, self.org, self.tgt, self.w)
+        self.passive: list[list[int]] = [[] for _ in range(cap)]
+        self.covered = bytearray(cap)
         self.path: list[int] = []
         self.pos: dict[int, int] = {}
         self.next_vertex = 0
@@ -40,9 +42,13 @@ class Rig:
         self.next_pos += 1
         return v
 
-    def set_front(self, origin: int, eid: int) -> None:
-        """``af.set_front`` with the home heap the solver would pass."""
-        self.af.set_front(origin, eid, self.cdsu.find(self.tgt[eid]))
+    def fill(self, home: int, eids: list[int]) -> None:
+        """``af.fill`` of home with eids, as the solver calls it."""
+        self.af.fill(home, eids, self.passive, self.covered)
+
+    def file(self, eid: int) -> None:
+        """``fill`` of eid's home with eid alone."""
+        self.fill(self.cdsu.find(self.tgt[eid]), [eid])
 
     def ring(self, entry: int) -> list[int]:
         """The origins in the sibling ring entered at entry, in ring
@@ -62,7 +68,7 @@ def test_insert_and_query_singleton():
     rig = Rig()
     h = rig.extend()
     eid = rig.add_edge(7, h, 42)
-    rig.set_front(7, eid)
+    rig.file(eid)
     assert rig.af.query_min(h) == (eid, 42)
     rig.af.check_invariants(rig.pos)
 
@@ -72,8 +78,8 @@ def test_query_returns_cheaper_of_two():
     h = rig.extend()
     e7 = rig.add_edge(5, h, 7)
     e4 = rig.add_edge(6, h, 4)
-    rig.set_front(5, e7)
-    rig.set_front(6, e4)
+    rig.file(e7)
+    rig.file(e4)
     assert rig.af.query_min(h) == (e4, 4)
     rig.af.check_invariants(rig.pos)
 
@@ -83,22 +89,22 @@ def test_heaps_are_isolated():
     a = rig.extend()
     b = rig.extend()
     eid = rig.add_edge(9, a, 1)
-    rig.set_front(9, eid)
+    rig.file(eid)
     assert rig.af.query_min(b) is None
     assert rig.af.query_min(a) == (eid, 1)
 
 
-def test_set_front_on_fresh_origin_inserts_it():
+def test_fill_on_fresh_origin_inserts_it():
     # a fresh origin becomes a root of its home heap, empty or not
     rig = Rig()
     a = rig.extend()
     b = rig.extend()
     e0 = rig.add_edge(3, a, 4)
-    rig.set_front(3, e0)
+    rig.file(e0)
     assert rig.af.eid[3] == e0 and rig.af.parent[3] == -1
     assert rig.ring(rig.af.root_ring[a]) == [3]
     e1 = rig.add_edge(4, a, 6)
-    rig.set_front(4, e1)
+    rig.file(e1)
     assert rig.af.eid[4] == e1 and rig.af.parent[4] == -1
     assert rig.ring(rig.af.root_ring[a]) == [3, 4]
     assert rig.af.root_ring[b] == -1
@@ -107,7 +113,7 @@ def test_set_front_on_fresh_origin_inserts_it():
     assert rig.af.query_min(b) is None
 
 
-def test_set_front_on_active_origin_moves_its_node():
+def test_fill_on_active_origin_moves_its_node():
     # an active origin's node leaves its parent's child ring or its root
     # list, so each origin keeps exactly one node
     rig = Rig()
@@ -115,17 +121,17 @@ def test_set_front_on_active_origin_moves_its_node():
     b = rig.extend()
     e0 = rig.add_edge(3, a, 4)
     e1 = rig.add_edge(4, a, 6)
-    rig.set_front(3, e0)
-    rig.set_front(4, e1)
+    rig.file(e0)
+    rig.file(e1)
     assert rig.af._consolidate(a) == (e0, 4)  # links 4 under 3
     assert rig.ring(rig.af.child[3]) == [4] and rig.af.rank[3] == 1
     e2 = rig.add_edge(4, b, 2)
-    rig.set_front(4, e2)                   # a child moves out alone
+    rig.file(e2)  # a child moves out alone
     assert rig.af.eid[4] == e2 and rig.af.parent[4] == -1
     assert rig.af.child[3] == -1 and rig.af.rank[3] == 0
     assert rig.ring(rig.af.root_ring[b]) == [4]
     e3 = rig.add_edge(3, b, 5)
-    rig.set_front(3, e3)                   # a root leaves its root list
+    rig.file(e3)  # a root leaves its root list
     assert rig.af.root_ring[a] == -1
     assert sorted(rig.ring(rig.af.root_ring[b])) == [3, 4]
     rig.af.check_invariants(rig.pos)
@@ -137,9 +143,9 @@ def test_replace_rekeys_in_place():
     rig = Rig()
     h = rig.extend()
     e9 = rig.add_edge(4, h, 9)
-    rig.set_front(4, e9)
+    rig.file(e9)
     e2 = rig.add_edge(4, h, 2)
-    rig.set_front(4, e2)
+    rig.file(e2)
     assert rig.af.query_min(h) == (e2, 2)
     rig.af.check_invariants(rig.pos)
 
@@ -149,9 +155,9 @@ def test_replace_moves_leaf_between_heaps():
     a = rig.extend()
     b = rig.extend()
     e0 = rig.add_edge(8, a, 5)
-    rig.set_front(8, e0)
+    rig.file(e0)
     e1 = rig.add_edge(8, b, 5)
-    rig.set_front(8, e1)
+    rig.file(e1)
     assert rig.af.query_min(a) is None
     assert rig.af.query_min(b) == (e1, 5)
     rig.af.check_invariants(rig.pos)
@@ -165,12 +171,12 @@ def test_replace_and_delete_reroute_displaced_child():
     b = rig.extend()
     e0 = rig.add_edge(3, a, 5)
     e1 = rig.add_edge(4, a, 7)
-    rig.set_front(3, e0)
-    rig.set_front(4, e1)
+    rig.file(e0)
+    rig.file(e1)
     assert rig.af._consolidate(a) == (e0, 5)  # links e1 under e0
     assert rig.af.parent[4] == 3
     e2 = rig.add_edge(3, b, 1)
-    rig.set_front(3, e2)                   # subtree rides to heap b
+    rig.file(e2)  # subtree rides to heap b
     rig.af.check_invariants(rig.pos)
     assert rig.af.query_min(b) == (e2, 1)
     rig.af.delete(3)
@@ -182,7 +188,7 @@ def test_replace_and_delete_reroute_displaced_child():
 def test_delete_only_node_empties_heap():
     rig = Rig()
     h = rig.extend()
-    rig.set_front(1, rig.add_edge(1, h, 3))
+    rig.file(rig.add_edge(1, h, 3))
     rig.af.delete(1)
     assert rig.af.query_min(h) is None
     with pytest.raises(ValueError, match="has no active edge"):
@@ -194,7 +200,7 @@ def test_delete_root_surfaces_both_children():
     h = rig.extend()
     eids = [rig.add_edge(10 + i, h, c) for i, c in enumerate((3, 5, 9, 11))]
     for i, eid in enumerate(eids):
-        rig.set_front(10 + i, eid)
+        rig.file(eid)
     assert rig.af._consolidate(h) == (eids[0], 3)  # rank-2 tree rooted at 3
     assert rig.af.rank[10] == 2
     rig.af.delete(10)
@@ -207,9 +213,9 @@ def test_merge_front_folds_second_into_head():
     a = rig.extend()
     b = rig.extend()
     e0 = rig.add_edge(5, a, 3)
-    rig.set_front(5, e0)
+    rig.file(e0)
     e1 = rig.add_edge(6, b, 5)
-    rig.set_front(6, e1)
+    rig.file(e1)
     m = rig.cdsu.join(b, a)
     rig.af.merge_front(b, a)
     rig.pos[m] = rig.pos[b]
@@ -222,7 +228,7 @@ def test_merge_front_with_empty_side():
     a = rig.extend()
     b = rig.extend()
     e0 = rig.add_edge(5, a, 3)
-    rig.set_front(5, e0)
+    rig.file(e0)
     m = rig.cdsu.join(b, a)
     rig.af.merge_front(b, a)
     rig.pos[m] = rig.pos[b]
@@ -254,7 +260,7 @@ def test_consolidation_leaves_unique_ranks():
     rig = Rig()
     h = rig.extend()
     for i, c in enumerate((5, 3, 9, 1, 7, 2, 8)):
-        rig.set_front(20 + i, rig.add_edge(20 + i, h, c))
+        rig.file(rig.add_edge(20 + i, h, c))
     assert rig.af._consolidate(h)[1] == 1
     roots = rig.ring(rig.af.root_ring[rig.cdsu.find(h)])
     ranks = [rig.af.rank[x] for x in roots]
@@ -274,10 +280,10 @@ def test_rank_outgrows_log_n():
     top = 0
     while top <= limit:
         # refill every free origin, dearer than all live edges, and link
-        for o in range(cap):
+        for o in range(1, cap):
             if af.eid[o] < 0:
                 eid = rig.add_edge(o, h, len(rig.w))
-                rig.set_front(o, eid)
+                rig.file(eid)
                 rig.active[o] = eid
         af._consolidate(h)
         roots = rig.ring(af.root_ring[h])
@@ -297,7 +303,7 @@ def test_rank_outgrows_log_n():
 
 def add_front(rig: Rig, origin: int, target: int, weight: int) -> int:
     eid = rig.add_edge(origin, target, weight)
-    rig.set_front(origin, eid)
+    rig.file(eid)
     rig.active[origin] = eid
     return eid
 
@@ -335,13 +341,13 @@ def test_fresh_entry_breaks_cost_ties_by_edge_id():
     h = rig.extend()
     e0 = rig.add_edge(3, h, 4)
     e1 = rig.add_edge(4, h, 4)
-    rig.set_front(4, e1)
-    rig.set_front(3, e0)
+    rig.file(e1)
+    rig.file(e0)
     assert rig.af.stale[h] == 0 and rig.af.root_ring[h] == 3
     assert rig.af.query_min(h) == (e0, 4)
 
 
-@pytest.mark.parametrize("unhook", ["set_front", "delete"])
+@pytest.mark.parametrize("unhook", ["fill", "delete"])
 def test_unhooking_the_entry_makes_the_heap_stale(unhook):
     rig = Rig()
     a = rig.extend()
@@ -349,7 +355,7 @@ def test_unhooking_the_entry_makes_the_heap_stale(unhook):
     for o, c in ((3, 1), (4, 5), (5, 2), (6, 4)):
         add_front(rig, o, a, c)
     assert rig.af.root_ring[a] == 3 and rig.af.stale[a] == 0
-    if unhook == "set_front":
+    if unhook == "fill":
         add_front(rig, 3, b, 9)
     else:
         rig.af.delete(3)
@@ -391,14 +397,6 @@ def test_merging_two_nonempty_heaps_makes_the_merged_heap_stale():
     assert rig.af.query_min(m) == (best, 3)
 
 
-def fill(rig: Rig, home: int, eids: list[int], passive=None,
-         covered=None) -> None:
-    """``af.fill`` of home with eids, as the solver calls it."""
-    passive = passive if passive is not None else [[] for _ in range(rig.cap)]
-    covered = covered if covered is not None else bytearray(rig.cap)
-    rig.af.fill(home, eids, rig.org, passive, covered)
-
-
 def test_fill_files_each_origin_once_with_the_minimum_as_entry():
     rig = Rig()
     h = rig.extend()
@@ -406,7 +404,7 @@ def test_fill_files_each_origin_once_with_the_minimum_as_entry():
     eids = [rig.add_edge(h, h, -9)]
     for o, c in ((5, 3), (6, 1), (7, 1)):
         rig.active[o] = rig.add_edge(o, h, c)
-    fill(rig, h, eids + list(rig.active.values()))
+    rig.fill(h, eids + list(rig.active.values()))
     af = rig.af
     # the ring from its entry, 6, in in-edge order
     assert rig.ring(af.root_ring[h]) == [6, 7, 5] and af.stale[h] == 0
@@ -423,7 +421,7 @@ def test_fill_parallel_edge_replaces_the_front_and_moves_the_entry(
     rig = Rig()
     h = rig.extend()
     e = [rig.add_edge(o, h, c) for o, c in zip((5, 6, 5, 5), costs)]
-    fill(rig, h, [e[i] for i in order])
+    rig.fill(h, [e[i] for i in order])
     rig.active = {5: min(e[0], e[2], key=lambda x: (rig.w[x], x)), 6: e[1]}
     af = rig.af
     assert af.eid[5] == rig.active[5] and af.eid[6] == e[1]
@@ -440,7 +438,7 @@ def test_fill_moving_the_entry_leaves_its_old_heap_stale():
         add_front(rig, o, a, c)
     assert rig.af.root_ring[a] == 3 and rig.af.stale[a] == 0
     rig.active[3] = rig.add_edge(3, b, 9)
-    fill(rig, b, [rig.active[3]])
+    rig.fill(b, [rig.active[3]])
     assert rig.af.query_min(b) == (rig.active[3], 9)
     assert_query_consolidates(rig, a)
     assert rig.af.query_min(a) == (rig.active[5], 2)
@@ -456,7 +454,7 @@ def test_fill_moving_a_child_lowers_its_parents_rank_and_carries_its_subtree():
     af._consolidate(a)                    # 3 over 4 and 5, 5 over 6
     assert af.rank[3] == 2 and af.parent[5] == 3 and af.parent[6] == 5
     rig.active[5] = rig.add_edge(5, b, 7)
-    fill(rig, b, [rig.active[5]])
+    rig.fill(b, [rig.active[5]])
     assert af.rank[3] == 1 and rig.ring(af.child[3]) == [4]
     assert af.parent[5] == -1 and rig.ring(af.root_ring[b]) == [5]
     assert af.rank[5] == 1 and rig.ring(af.child[5]) == [6]
@@ -472,10 +470,9 @@ def test_fill_demotes_replaced_fronts_in_in_edge_order():
     old = {o: add_front(rig, o, t, 1) for o, t in ((10, b), (11, a),
                                                    (12, c), (13, b))}
     new = {o: rig.add_edge(o, d, 2) for o in (13, 11, 12, 10)}
-    passive = [[] for _ in range(rig.cap)]
-    covered = bytearray(rig.cap)
-    covered[a] = 1
-    fill(rig, d, list(new.values()), passive, covered)
+    passive = rig.passive
+    rig.covered[a] = 1
+    rig.fill(d, list(new.values()))
     rig.active.update(new)
     assert passive[b] == [old[13], old[10]] and passive[c] == [old[12]]
     assert passive[a] == []
@@ -486,33 +483,111 @@ def test_fill_demotes_replaced_fronts_in_in_edge_order():
     rig.af.check_invariants(rig.pos)
 
 
-def test_fill_refuses_a_heap_that_is_not_empty():
+def test_fill_splices_new_nodes_before_a_fresh_heaps_entry():
     rig = Rig()
     h = rig.extend()
-    add_front(rig, 3, h, 1)
-    with pytest.raises(ValueError, match="not empty"):
-        fill(rig, h, [rig.add_edge(4, h, 2)])
-    assert rig.af.eid[4] == -1
+    add_front(rig, 3, h, 2)
+    add_front(rig, 4, h, 5)
+    for o, c in ((6, 4), (7, 1), (8, 1)):
+        rig.active[o] = rig.add_edge(o, h, c)
+    rig.fill(h, [rig.active[o] for o in (6, 7, 8)])
+    af = rig.af
+    assert rig.ring(3) == [3, 4, 6, 7, 8]
+    assert af.root_ring[h] == 7 and af.stale[h] == 0
+    assert af.query_min(h) == rig.scan_min(h) == (rig.active[7], 1)
+    af.check_invariants(rig.pos)
+
+
+def test_fill_rekeys_a_root_in_place_and_makes_it_the_entry():
+    rig = Rig()
+    h = rig.extend()
+    for o, c in ((3, 1), (4, 5), (5, 3)):
+        add_front(rig, o, h, c)
+    af = rig.af
+    assert rig.ring(af.root_ring[h]) == [3, 4, 5] and af.stale[h] == 0
+    rig.active[4] = rig.add_edge(4, h, 0)
+    rig.fill(h, [rig.active[4]])
+    assert af.eid[4] == rig.active[4] and rig.ring(3) == [3, 4, 5]
+    assert af.root_ring[h] == 4 and af.stale[h] == 0
+    assert af.query_min(h) == rig.scan_min(h) == (rig.active[4], 0)
+    af.check_invariants(rig.pos)
+
+
+def test_fill_cuts_a_rekeyed_child_and_lowers_its_parents_rank():
+    rig = Rig()
+    h = rig.extend()
+    for o, c in ((3, 1), (4, 2), (5, 3), (6, 4)):
+        add_front(rig, o, h, c)
+    af = rig.af
+    af._consolidate(h)                    # 3 over 4 and 5, 5 over 6
+    assert af.rank[3] == 2 and af.parent[5] == 3 and af.parent[6] == 5
+    rig.active[5] = rig.add_edge(5, h, 0)
+    rig.fill(h, [rig.active[5]])
+    assert af.parent[5] == -1 and rig.ring(af.child[5]) == [6]
+    assert af.rank[3] == 1 and rig.ring(af.child[3]) == [4]
+    assert sorted(rig.ring(af.root_ring[h])) == [3, 5]
+    assert af.root_ring[h] == 5 and af.stale[h] == 0
+    assert af.query_min(h) == rig.scan_min(h) == (rig.active[5], 0)
+    af.check_invariants(rig.pos)
+
+
+def test_fill_into_a_stale_heap_leaves_it_stale():
+    rig = Rig()
+    h = rig.extend()
+    for o, c in ((3, 1), (4, 5), (5, 2)):
+        add_front(rig, o, h, c)
+    rig.af.delete(3)
+    del rig.active[3]
+    rig.active[4] = rig.add_edge(4, h, 0)   # a root re-keyed in place
+    rig.active[6] = rig.add_edge(6, h, 3)   # a new node
+    rig.fill(h, [rig.active[4], rig.active[6]])
+    assert sorted(rig.ring(rig.af.root_ring[h])) == [4, 5, 6]
+    assert_query_consolidates(rig, h)
+    assert rig.af.query_min(h) == (rig.active[4], 0)
+
+
+def test_fill_reads_each_cost_with_its_targets_offset():
+    # a fold's edges enter different members of a contracted home
+    rig = Rig()
+    a = rig.extend()
+    b = rig.extend()
+    add_front(rig, 3, a, 5)
+    rig.cdsu.add_offset(a, -4)            # origin 3's front now costs 1
+    m = rig.cdsu.join(b, a)
+    rig.af.merge_front(b, a)
+    rig.pos[m] = rig.pos[b]
+    af = rig.af
+    assert m == b and af.stale[m] == 0
+    e3 = rig.add_edge(3, b, 2)            # dearer than 3's front
+    rig.active[4] = rig.add_edge(4, b, 0)
+    rig.fill(m, [e3, rig.active[4]])
+    assert af.eid[3] == rig.active[3] and rig.passive == [[]] * rig.cap
+    assert af.root_ring[m] == 4 and af.stale[m] == 0
+    assert af.query_min(m) == rig.scan_min(m) == (rig.active[4], 0)
+    af.check_invariants(rig.pos)
 
 
 def run_af_sequence(seed: int, nops: int, check_every_op: bool = True) -> None:
     """One randomized operation sequence checked against the scan oracle
-    and the debug invariant walk."""
+    and the debug invariant walk. Path vertices are the lower half of the
+    vertices and origins the upper half, so an origin never joins a path
+    vertex and keeps its own node."""
     rng = random.Random(seed)
     rig = Rig()
+    half = rig.cap // 2
     rig.extend()
     for _ in range(nops):
         roll = rng.random()
         head = rig.path[-1]
-        if roll < 0.15 and rig.next_vertex < rig.cap:
+        if roll < 0.15 and rig.next_vertex < half:
             rig.extend()
         elif roll < 0.45:
-            free = [o for o in range(rig.cap) if o not in rig.active]
+            free = [o for o in range(half, rig.cap) if o not in rig.active]
             if free:
                 o = rng.choice(free)
                 t = rng.choice(rig.path)
                 eid = rig.add_edge(o, t, rng.randint(-50, 50))
-                rig.set_front(o, eid)
+                rig.file(eid)
                 rig.active[o] = eid
         elif roll < 0.60:
             if rig.active:
@@ -531,7 +606,7 @@ def run_af_sequence(seed: int, nops: int, check_every_op: bool = True) -> None:
                     # same home, strictly cheaper stored weight
                     eid = rig.add_edge(o, rig.tgt[cur],
                                        rig.w[cur] - rng.randint(1, 5))
-                rig.set_front(o, eid)
+                rig.file(eid)
                 rig.active[o] = eid
         elif roll < 0.70:
             if rig.active:
@@ -566,7 +641,7 @@ def test_randomized_sequences_match_scan_oracle():
 def test_counters_tick():
     rig = Rig()
     h = rig.extend()
-    rig.set_front(2, rig.add_edge(2, h, 4))
+    rig.file(rig.add_edge(2, h, 4))
     rig.af.query_min(h)
     rig.af.delete(2)
     assert rig.af.queries == 1 and rig.af.deletes == 1

@@ -69,17 +69,19 @@ def test_oracle_sweep_with_debug_checks():
 
 def test_post_join_fold_matches_scan_forest():
     # both contractions fold a passive edge into the front of an origin
-    # outside the merged vertex; the fold is set_front's only caller
+    # outside the merged vertex; a fold is the fill of a contracted home
     g = gen_er_rooted(6, 18, 2, 5)
     solver = GgstSolver(g, debug=True)
-    set_front = solver.af.set_front
+    fill, size, front = solver.af.fill, solver.cdsu.size, solver.af.eid
     folded = []
 
-    def counting(origin, eid, home):
-        folded.append(eid)
-        set_front(origin, eid, home)
+    def counting(home, edges, passive, covered):
+        before = front[:]
+        fill(home, edges, passive, covered)
+        if size[home] > 1:
+            folded.extend(e for x, e in enumerate(front) if e != before[x])
 
-    solver.af.set_front = counting
+    solver.af.fill = counting
     r = solver.run()
     ref = scan_ggst(g)
     assert folded == [6, 0]
@@ -92,7 +94,7 @@ def test_post_join_fold_matches_scan_forest():
 
 @pytest.mark.parametrize("prep", ["shift", "join"])
 def test_debug_check_wants_a_new_head_uncontracted_and_unshifted(prep):
-    # fill reads a new head's costs as plain weights
+    # a new head is a vertex the path has not reached yet
     solver = GgstSolver(gen_er_rooted(6, 18, 2, 5), debug=True)
     cdsu = solver.cdsu
     if prep == "shift":
@@ -101,6 +103,35 @@ def test_debug_check_wants_a_new_head_uncontracted_and_unshifted(prep):
         cdsu.join(1, 2)
     with pytest.raises(AssertionError, match="uncontracted singleton"):
         solver._extend(cdsu.parent[1])
+
+
+def test_fold_rekeys_a_root_in_place():
+    # each contraction's fold gives a root of the merged heap, whose front
+    # already enters it, a cheaper edge; the node keeps its place: origin 0
+    # in a stale heap, then origin 3 as the entry of a fresh one
+    g = parse_edge_list("4 11 3\n0 2 -1\n3 0 3\n1 2 -4\n2 0 0\n3 0 4\n"
+                        "2 1 -3\n0 1 0\n3 0 5\n2 3 -1\n2 2 2\n3 1 4\n")
+    solver = GgstSolver(g, debug=True)
+    af = solver.af
+    fill = af.fill
+    rekeyed = []
+
+    def recording(home, edges, passive, covered):
+        roots, x = {}, af.root_ring[home]
+        while x >= 0 and x not in roots:
+            roots[x] = af.eid[x]
+            x = af.right[x]
+        stale = af.stale[home]
+        fill(home, edges, passive, covered)
+        rekeyed.extend((x, af.eid[x], stale) for x, e in roots.items()
+                       if af.eid[x] != e and af.parent[x] < 0)
+
+    af.fill = recording
+    r = solver.run()
+    assert rekeyed == [(0, 0, 1), (3, 1, 0)]
+    assert r.counters["contractions"] == 2
+    assert r.total_weight == brute_force(g)[0] == -1
+    assert r.picked == scan_ggst(g).picked == [3, 2, 5, 0, 1]
 
 
 def test_equal_cost_fold_keeps_the_strict_order():

@@ -46,6 +46,13 @@ def test_parse_skips_blank_lines():
     ("20 1 0\n0 1_0 5\n", "not an integer '1_0', line 2"),
     ("2_0 1 0\n0 1 5\n", "not an integer '2_0', line 1"),
     ("2 2 0\n0 1 5\n\n1 0 -5_0\n", "not an integer '-5_0', line 4"),
+    # only \n, \r\n and \r end a line; str.splitlines' other breaks are
+    # blanks, as str.split reads them
+    ("3 2 0\n0 1 5\x0c\n1 2 x\n", "not an integer 'x', line 3"),
+    ("2 1 0\x0b\n\x1c\r\n0 5 1\n", "index out of range, line 3"),
+    ("2 1 0\r0 1 5\x1d\x1e\x85\u2028\u20290\n",
+     "edge line must be 'u v w', line 2"),
+    ("2 2 0\x0c\n0 1 1\x0c\n", "expected 2 edges, found 1, line 3"),
 ])
 def test_parse_errors(text, msg):
     with pytest.raises(ParseError, match="^" + msg + "$"):
@@ -191,6 +198,20 @@ def test_parse_plain_edge_list():
         parse_plain_edge_list("1 2\n3\n")
     with pytest.raises(ParseError, match="^not an integer '1_0', line 2$"):
         parse_plain_edge_list("1 2\n1_0 3\n")
+    # a form feed is a blank inside its line, not a line end
+    assert parse_plain_edge_list("0 1\x0c5\n") == parse_plain_edge_list("0 1\n")
+    with pytest.raises(ParseError, match="^edge line must be 'u v', line 3$"):
+        parse_plain_edge_list("0 1\x0c\n\x0b1 2\n3\x0c\n")
+
+
+def test_form_feeds_keep_line_numbers_past_the_chunks():
+    g = gen_er_rooted(300, 1200, 9, 4)
+    text = serialize(g).replace("\n", "\x0c\n", 700)
+    assert parse_edge_list(text) == parse_line_by_line(text) == g
+    bad = text.replace("1200 0", "1201 0", 1) + "0 1 x\n"
+    for parse in (parse_edge_list, parse_line_by_line):
+        with pytest.raises(ParseError, match="^not an integer 'x', line 1202$"):
+            parse(bad)
 
 
 def test_splitmix_determinism():
