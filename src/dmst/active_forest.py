@@ -29,8 +29,11 @@ is unhooked, when delete splices a child into its non-empty root list,
 and when merge_front joins two non-empty root lists; each consolidation
 is paid for by the roots it walks.
 
-fill is the only way an edge enters a heap, for a new path head and for
-a contraction's fold alike. Per edge it keeps the smaller ``(cost, eid)``
+fill is the only way an edge enters a heap. ggst calls it at most once
+per contraction, with the merged vertex as home: a path vertex's incoming
+edges are filed at its first contraction, together with the members'
+demoted edges, so an origin's front is its edge into the newest filed
+path vertex it reaches. Per edge fill keeps the smaller ``(cost, eid)``
 of the origin's front and the edge. An origin without a front, or one
 whose front enters another heap, has its node spliced into home's root
 list, a moved node unhooked first with its subtree riding along. An
@@ -247,7 +250,8 @@ class ActiveForest:
     def query_min(self, head: int):
         """Minimum-cost active edge into the head's heap, as a tuple
         (edge id, current cost); None on an empty heap. Constant time on
-        a fresh heap; a stale one is consolidated first."""
+        a fresh heap; a stale one is consolidated first. ggst queries a
+        filed head only, a contraction's merged vertex."""
         self.queries += 1
         x = self.root_ring[head]
         if x < 0:

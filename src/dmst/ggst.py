@@ -1,32 +1,39 @@
 """Growth-path arborescence solver, O(n log n + m).
 
 The solver grows a path backwards from an uncovered vertex by repeatedly
-querying the cheapest edge into the path head. Three cases per pick: the
+picking the cheapest edge into the path head. Three cases per pick: the
 origin is already on the path (contract the path suffix into one
 super-vertex), the origin is an untouched vertex (extend the path), or the
 origin's super-vertex is covered (it contains the root or belongs to an
 already finalized path), in which case the whole path is finalized and
 growth restarts at the lowest-index uncovered vertex.
 
+A vertex joins the path fresh: an uncontracted singleton with no shift,
+none of whose incoming edges is in the ActiveForest. A fresh head picks
+by one scan of its incoming edges, self-loops skipped, and a path
+finalized while fresh never touches the forest. A contraction's merged
+vertex is filed, and only a filed head is queried in the forest.
+
 Each origin super-vertex x has at most one active edge, its front
-``af.eid[x]`` in the ActiveForest: its edge into the newest path vertex it
-reaches, the cheaper of a parallel pair. A new head's edges become fronts
-in one ``af.fill``, which demotes each replaced front into ``passive[t]``
-of its target t, the only record of demoted edges. A contraction shifts
-member costs in the DSU offsets, deletes the members' own fronts (their
-edges became self-loops), joins the members, and then folds their passive
-lists, newest member first, by one ``af.fill`` into the merged vertex: an
-entry whose origin lies outside it becomes that origin's front when
-smaller in ``(cost, edge id)``, the first in the order every layer uses,
-and an entry whose origin lies inside it is dropped. Every such origin's
-front already enters the merged vertex, so the fold demotes nothing. A
-covered vertex is never contracted, so finalizing a path frees its
-passive lists and a front into a covered vertex is dropped instead of
-demoted.
+``af.eid[x]`` in the ActiveForest: its edge into the newest filed path
+vertex it reaches, the cheaper of a parallel pair. A replaced front is
+demoted into ``passive[t]`` of its target t, the only record of demoted
+edges. A contraction shifts member costs in the DSU offsets, deletes the
+members' own fronts (their edges became self-loops), joins the members,
+and then files into the merged vertex, newest member first, by one
+``af.fill``: each filed member's passive list and each fresh member's
+incoming edges from outside the merged vertex. An edge from an origin
+outside becomes that origin's front when it is smaller in
+``(cost, edge id)``, the first in the order every layer uses, or when
+the front enters an older vertex, which demotes the front; an entry
+whose origin lies inside is dropped. A covered vertex is never
+contracted, so finalizing a path frees its passive lists and a front
+into a covered vertex is dropped instead of demoted.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import Optional
 
 from .active_forest import ActiveForest
@@ -48,25 +55,20 @@ class GgstSolver:
         n, root = graph.n, graph.root
         self.cdsu = ContractionDSU(n)
         self.af = ActiveForest(self.cdsu, graph.org, graph.tgt, graph.w)
-        # every edge by target: _extend never runs on the root, and it
-        # skips a self-loop as an edge from the head itself
+        # every edge by target, in edge id order, so a fresh head's scan
+        # keeps the first of equal-cost edges; the root is never a head
         in_adj: list[list[int]] = [[] for _ in range(n)]
         for eid, v in enumerate(graph.tgt):
             in_adj[v].append(eid)
         self.in_adj = in_adj
         self.passive: list[list[int]] = [[] for _ in range(n)]
+        # 1 at a contraction's merged vertex: its incoming edges are filed
+        self.filed = bytearray(n)
         # the root and finalized paths; a covered vertex is never contracted,
         # so its passive list is never read
         self.covered = bytearray(n)
         if n:  # the empty instance has no root vertex
             self.covered[root] = 1
-
-    def _extend(self, u: int) -> None:
-        """u becomes the new head, its incoming edges made fronts."""
-        if self.debug:
-            assert self.cdsu.size[u] == 1 and self.cdsu.shift[u] == 0, \
-                "new head is not an uncontracted singleton"
-        self.af.fill(u, self.in_adj[u], self.passive, self.covered)
 
     def run(self) -> SolveResult:
         graph = self.graph
@@ -76,9 +78,10 @@ class GgstSolver:
         af = self.af
         front = af.eid
         org, tgt, w = graph.org, graph.tgt, graph.w
-        passive = self.passive
+        in_adj, passive, filed = self.in_adj, self.passive, self.filed
         debug = self.debug
         log = PickLog(n, self.deadline, debug)
+        head_scans = 0
 
         covered = self.covered
         path: list[int] = []
@@ -93,15 +96,26 @@ class GgstSolver:
                     break
                 path.append(next_start)
                 path_index[next_start] = 0
-                self._extend(next_start)
                 continue
             if debug:
                 self._debug_check(path, path_index)
             head = path[-1]
-            res = af.query_min(head)
-            if res is None:
-                raise Infeasible
-            eid, cost = res
+            if filed[head]:
+                res = af.query_min(head)
+                if res is None:
+                    raise Infeasible
+                eid, cost = res
+            else:
+                # a fresh head: every edge costs its weight, and the scan
+                # in edge id order keeps the smallest id on a tie
+                eid, cost = -1, inf
+                for e in in_adj[head]:
+                    c = w[e]
+                    if c < cost and org[e] != head:
+                        eid, cost = e, c
+                if eid < 0:
+                    raise Infeasible
+                head_scans += 1
             log.pick(head, eid, cost)
             u = parent[org[eid]]
             j = path_index[u]
@@ -130,17 +144,21 @@ class GgstSolver:
                     af.merge_front(a, r)
                 entries = []
                 for r in reversed(members):
-                    entries += passive[r]
-                    passive[r] = []
+                    if filed[r]:
+                        entries += passive[r]
+                        passive[r] = []
+                    else:  # edges from inside would only be skipped
+                        entries += [e for e in in_adj[r]
+                                    if parent[org[e]] != merged]
                 if entries:  # skips fill's set-up on the many empty folds
                     af.fill(merged, entries, passive, covered)
+                filed[merged] = 1
                 log.contract(members, merged)
                 path.append(merged)
                 path_index[merged] = len(path) - 1
             elif not covered[u]:
                 path.append(u)
                 path_index[u] = len(path) - 1
-                self._extend(u)
             else:
                 # covered origin: the path can absorb nothing more
                 for r in path:
@@ -149,16 +167,27 @@ class GgstSolver:
                     path_index[r] = -1
                 path = []
 
-        return log.result({**af.counters(), **cdsu.counters()})
+        return log.result({**af.counters(), **cdsu.counters(),
+                           "head_scans": head_scans})
 
     def _debug_check(self, path: list[int], path_index: list[int]) -> None:
-        """Each on-path r's passive entries target r, at most one per
-        origin; an origin not past r on the path has its front past r.
-        Entries from origins past r are left for a later fold to drop."""
-        parent = self.cdsu.parent
+        """A fresh path vertex is an uncontracted singleton with no shift,
+        no forest node homed at it and no passive entries. Each filed r's
+        passive entries target r, at most one per origin; an origin not
+        past r on the path has its front past r. Entries from origins
+        past r are left for a later fold to drop."""
+        cdsu = self.cdsu
+        parent = cdsu.parent
         org, tgt = self.graph.org, self.graph.tgt
         front = self.af.eid
+        homes = {parent[tgt[f]] for f in front if f >= 0}
         for r in path:
+            if not self.filed[r]:
+                assert cdsu.size[r] == 1 and cdsu.shift[r] == 0, \
+                    "fresh vertex is not an uncontracted singleton"
+                assert r not in homes, "forest node homed at a fresh vertex"
+                assert not self.passive[r], "fresh vertex has passive entries"
+                continue
             i = path_index[r]
             origins = set()
             for e2 in self.passive[r]:

@@ -3,9 +3,10 @@ from unittest import mock
 
 import pytest
 
-from dmst import (GgstSolver, Graph, ParseError, ggst_solve, parse_edge_list,
-                  parse_plain_edge_list, tarjan_solve)
+from dmst import (GgstSolver, Graph, Infeasible, ParseError, ggst_solve,
+                  parse_edge_list, parse_plain_edge_list, tarjan_solve)
 from dmst import graph as graph_mod
+from dmst.recon import PickLog
 
 G_ONE_TEXT = "1 0 0\n"
 G_TRI_TEXT = "3 4 0\n0 1 5\n0 2 7\n1 2 1\n2 1 1\n"
@@ -153,3 +154,77 @@ def scan_ggst(graph: Graph):
     solver = GgstSolver(graph)
     solver.af = ScanForest(solver.cdsu, graph.org, graph.tgt, graph.w)
     return solver.run()
+
+
+def eager_ggst(graph: Graph, debug: bool = False):
+    """ggst as it ran before lazy activation: every new path head's
+    incoming edges are filed through ``fill`` when it joins the path, and
+    every pick is a forest query. The solver's lazy filing must give the
+    same picks, forest parents and weight; its counters differ."""
+    solver = GgstSolver(graph, debug=debug)
+    n = graph.n
+    cdsu, af, log = solver.cdsu, solver.af, PickLog(n, None, debug)
+    parent, front = cdsu.parent, af.eid
+    org = graph.org
+    in_adj, passive, covered = solver.in_adj, solver.passive, solver.covered
+    path: list[int] = []
+    path_index = [-1] * n
+    next_start = 0
+
+    def extend(u: int) -> None:
+        path.append(u)
+        path_index[u] = len(path) - 1
+        solver.filed[u] = 1
+        af.fill(u, in_adj[u], passive, covered)
+
+    while True:
+        if not path:
+            while next_start < n and covered[parent[next_start]]:
+                next_start += 1
+            if next_start == n:
+                break
+            extend(next_start)
+            continue
+        if debug:
+            solver._debug_check(path, path_index)
+        head = path[-1]
+        res = af.query_min(head)
+        if res is None:
+            raise Infeasible
+        eid, cost = res
+        log.pick(head, eid, cost)
+        u = parent[org[eid]]
+        j = path_index[u]
+        if j >= 0:
+            members = path[j:]
+            del path[j:]
+            for r in members:
+                path_index[r] = -1
+            for r, pc in zip(members, log.pick_costs(members)):
+                if pc:
+                    cdsu.add_offset(r, -pc)
+            for r in members:
+                if front[r] >= 0:
+                    af.delete(r)
+            merged = members[0]
+            for r in members[1:]:
+                a = merged
+                merged = cdsu.join(a, r)
+                af.merge_front(a, r)
+            entries = []
+            for r in reversed(members):
+                entries += passive[r]
+                passive[r] = []
+            af.fill(merged, entries, passive, covered)
+            log.contract(members, merged)
+            path.append(merged)
+            path_index[merged] = len(path) - 1
+        elif not covered[u]:
+            extend(u)
+        else:
+            for r in path:
+                covered[r] = 1
+                passive[r] = []
+                path_index[r] = -1
+            path.clear()
+    return log.result({**af.counters(), **cdsu.counters()})

@@ -206,20 +206,23 @@ def test_criterion_7_scaling_sanity():
     reps = 5
     makers = {"ggst": lambda g: GgstSolver(g),
               "tarjan-sil": lambda g: TarjanSolver(g, strategy="sil")}
-    medians = {}
-    for m in (200_000, 400_000, 800_000):
-        g = gen_er_rooted(n, m, 1000, m)
-        for name, make in makers.items():
-            times = []
-            weights = set()
-            for _ in range(reps):
-                solver = make(g)   # init phase outside the clock
+    sizes = (200_000, 400_000, 800_000)
+    graphs = {m: gen_er_rooted(n, m, 1000, m) for m in sizes}
+    times = {(name, m): [] for name in makers for m in sizes}
+    weights = {m: set() for m in sizes}
+    # the sizes take turns rep by rep, so a burst of load on the machine
+    # hits every size of a doubling ratio alike
+    for _ in range(reps):
+        for m in sizes:
+            for name, make in makers.items():
+                solver = make(graphs[m])   # init phase outside the clock
                 t0 = time.perf_counter()
                 r = solver.run()
-                times.append(time.perf_counter() - t0)
-                weights.add(r.total_weight)
-            assert len(weights) == 1
-            medians[(name, m)] = statistics.median(times)
+                times[(name, m)].append(time.perf_counter() - t0)
+                weights[m].add(r.total_weight)
+                del solver, r
+    assert all(len(ws) == 1 for ws in weights.values())
+    medians = {key: statistics.median(ts) for key, ts in times.items()}
     bad = []
     for name in ("ggst", "tarjan-sil"):
         for lo, hi in ((200_000, 400_000), (400_000, 800_000)):

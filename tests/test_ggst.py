@@ -13,7 +13,7 @@ from dmst import (GgstSolver, Infeasible, brute_force, build_leaf_map,
 def test_single_vertex(g_one):
     r = ggst_solve(g_one, debug=True)
     assert r.total_weight == 0 and r.picked == []
-    assert r.counters["af_queries"] == 0
+    assert r.counters["af_queries"] == r.counters["head_scans"] == 0
 
 
 def test_tri(g_tri):
@@ -68,33 +68,41 @@ def test_oracle_sweep_with_debug_checks():
 
 
 def test_post_join_fold_matches_scan_forest():
-    # both contractions fold a passive edge into the front of an origin
-    # outside the merged vertex; a fold is the fill of a contracted home
-    g = gen_er_rooted(6, 18, 2, 5)
+    # fills happen at contractions only. The second one files a fresh
+    # member's incoming edges, which demote two fronts into the first
+    # merged vertex (edges 1 and 9) to its passive list; the third one
+    # joins both merged vertices and folds those passive edges back into
+    # the fronts of origins outside it
+    g = gen_er_rooted(6, 24, 3, 205)
     solver = GgstSolver(g, debug=True)
     fill, size, front = solver.af.fill, solver.cdsu.size, solver.af.eid
-    folded = []
+    filed, folded, demoted = set(), [], []
 
     def counting(home, edges, passive, covered):
-        before = front[:]
+        assert size[home] > 1
+        before, lens = front[:], [len(p) for p in passive]
         fill(home, edges, passive, covered)
-        if size[home] > 1:
-            folded.extend(e for x, e in enumerate(front) if e != before[x])
+        # an edge once a front and a front again came from a passive list
+        folded.append([e for x, e in enumerate(front)
+                       if e != before[x] and e in filed])
+        demoted.append([e for p, k in zip(passive, lens) for e in p[k:]])
+        filed.update(e for e in front if e >= 0)
 
     solver.af.fill = counting
     r = solver.run()
     ref = scan_ggst(g)
-    assert folded == [6, 0]
-    assert r.total_weight == ref.total_weight == 6
-    assert r.picked == ref.picked == [3, 5, 16, 6, 13, 0, 1]
+    assert folded == [[], [], [9, 1]]
+    assert demoted == [[], [1, 9], []]
+    assert r.total_weight == ref.total_weight == 8
+    assert r.picked == ref.picked == [5, 4, 8, 10, 3, 12, 9, 21]
     assert r.forest_parent == ref.forest_parent
     assert r.counters == ref.counters
-    assert r.counters["contractions"] == 2
+    assert r.counters["contractions"] == 3
 
 
 @pytest.mark.parametrize("prep", ["shift", "join"])
 def test_debug_check_wants_a_new_head_uncontracted_and_unshifted(prep):
-    # a new head is a vertex the path has not reached yet
+    # vertex 1, the first head, joins the path fresh
     solver = GgstSolver(gen_er_rooted(6, 18, 2, 5), debug=True)
     cdsu = solver.cdsu
     if prep == "shift":
@@ -102,15 +110,33 @@ def test_debug_check_wants_a_new_head_uncontracted_and_unshifted(prep):
     else:
         cdsu.join(1, 2)
     with pytest.raises(AssertionError, match="uncontracted singleton"):
-        solver._extend(cdsu.parent[1])
+        solver.run()
+
+
+@pytest.mark.parametrize("prep, message", [
+    ("fill", "forest node homed at a fresh vertex"),
+    ("passive", "fresh vertex has passive entries"),
+])
+def test_debug_check_keeps_a_fresh_head_out_of_the_forest(prep, message):
+    # vertex 1, the first head, has edges from 3, 4 and 5; either
+    # corruption gives it state only a filed vertex may have
+    solver = GgstSolver(gen_er_rooted(6, 18, 2, 5), debug=True)
+    if prep == "fill":
+        solver.af.fill(1, solver.in_adj[1], solver.passive, solver.covered)
+    else:
+        solver.passive[1].append(solver.in_adj[1][0])
+    with pytest.raises(AssertionError, match=message):
+        solver.run()
 
 
 def test_fold_rekeys_a_root_in_place():
-    # each contraction's fold gives a root of the merged heap, whose front
-    # already enters it, a cheaper edge; the node keeps its place: origin 0
-    # in a stale heap, then origin 3 as the entry of a fresh one
-    g = parse_edge_list("4 11 3\n0 2 -1\n3 0 3\n1 2 -4\n2 0 0\n3 0 4\n"
-                        "2 1 -3\n0 1 0\n3 0 5\n2 3 -1\n2 2 2\n3 1 4\n")
+    # each of the last two contractions files a fresh member's edge from
+    # an origin whose front already enters the merged heap, and cheaper;
+    # the node keeps its place: origin 4 in a stale heap, then origin 3
+    # as the entry of a fresh one
+    g = parse_edge_list("5 14 3\n0 2 -1\n3 4 1\n2 1 -4\n4 2 1\n1 4 4\n"
+                        "0 2 5\n1 4 -2\n2 0 -5\n3 1 1\n0 4 -3\n1 2 -1\n"
+                        "4 1 -3\n4 4 -2\n1 4 -3\n")
     solver = GgstSolver(g, debug=True)
     af = solver.af
     fill = af.fill
@@ -128,18 +154,17 @@ def test_fold_rekeys_a_root_in_place():
 
     af.fill = recording
     r = solver.run()
-    assert rekeyed == [(0, 0, 1), (3, 1, 0)]
-    assert r.counters["contractions"] == 2
-    assert r.total_weight == brute_force(g)[0] == -1
-    assert r.picked == scan_ggst(g).picked == [3, 2, 5, 0, 1]
+    assert rekeyed == [(4, 11, 1), (3, 1, 0)]
+    assert r.counters["contractions"] == 3
+    assert r.total_weight == brute_force(g)[0] == -8
+    assert r.picked == scan_ggst(g).picked == [7, 0, 10, 2, 11, 9, 1]
 
 
 def test_equal_cost_fold_keeps_the_strict_order():
-    # origin 3 moves from edge 2 (into 0) to edge 5 (into the new head 1),
-    # carrying its child, origin 5's edge 3 into 0; the contraction that
-    # joins 0 and 1 ties edges 2 and 5 at cost 0, and the fold takes back
-    # edge 2, the smaller id, which precedes the child's edge 3 as the
-    # debug walk's strict (cost, edge id) check requires
+    # the first contraction files vertex 0's edges, origin 3's edge 2
+    # among them; the second joins fresh vertex 1, whose edge 5 from
+    # origin 3 ties edge 2 at cost 0, and the fold keeps edge 2, the
+    # smaller id, by the one tie rule every layer uses
     g = parse_edge_list("6 9 3\n2 0 0\n1 0 0\n3 0 0\n5 0 0\n4 1 -1\n"
                         "3 1 -1\n0 2 -1\n0 5 1\n2 4 0\n")
     r = ggst_solve(g, debug=True)
@@ -220,24 +245,25 @@ def _digest(xs: list[int]) -> str:
     (lambda: gen_antilemon(300),
      (300, "a613a851f065d03f", "ba17bb2b85fd0fbe",
       {"picks": 599, "contractions": 299, "summed_cycle_length": 598,
-       "af_queries": 599, "af_deletes": 598, "af_merges": 299,
-       "dsu_visits": 299}), (False, True)),
+       "af_queries": 299, "af_deletes": 298, "af_merges": 299,
+       "dsu_visits": 299, "head_scans": 300}), (False, True)),
     (lambda: gen_er_rooted(2000, 8000, 100, 11),
      (47397, "e3d508e6b88b22bd", "b139e3347cf2c7b8",
       {"picks": 2008, "contractions": 9, "summed_cycle_length": 158,
-       "af_queries": 2008, "af_deletes": 154, "af_merges": 149,
-       "dsu_visits": 229}), (False,)),
+       "af_queries": 9, "af_deletes": 27, "af_merges": 149,
+       "dsu_visits": 229, "head_scans": 1999}), (False,)),
     (lambda: gen_er_rooted(300, 2400, 2, 5),
      (301, "872a13aa6aea4ca6", "7e3c5ca63406ddca",
       {"picks": 316, "contractions": 17, "summed_cycle_length": 97,
-       "af_queries": 316, "af_deletes": 95, "af_merges": 80,
-       "dsu_visits": 110}), (False, True)),
+       "af_queries": 17, "af_deletes": 48, "af_merges": 80,
+       "dsu_visits": 110, "head_scans": 299}), (False, True)),
 ], ids=["antilemon-300", "er-2000-8000", "er-300-2400-ties"])
 def test_golden_trace_and_counters(make, want, debug_modes):
     # the trace and every counter on fixed instances: a change to the
     # forest or the DSU must pick the same edges in the same order and do
     # the same work. Weights 1..2 in er-300-2400-ties pin the one tie rule,
-    # the smaller edge id on equal cost, in _extend and in the fold.
+    # the smaller edge id on equal cost, in a fresh head's scan and in the
+    # fold. A fresh head's pick is a scan and a filed head's a forest query.
     # er-2000-8000 skips debug mode, whose full-forest walk per pick takes
     # seconds there.
     weight, picked, parents, counters = want
@@ -248,6 +274,8 @@ def test_golden_trace_and_counters(make, want, debug_modes):
         assert _digest(r.picked) == picked
         assert _digest(r.forest_parent) == parents
         assert r.counters == counters
+        assert counters["af_queries"] + counters["head_scans"] == \
+            counters["picks"]
 
 
 def test_run_frees_every_passive_list():

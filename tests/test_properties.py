@@ -2,9 +2,10 @@
 edges, self-loops, edges into the root and infeasible inputs, also with the
 edges into one vertex shifted by a constant; on tie-heavy graphs and
 er-rooted instances, where ggst must pick exactly as it does with a scan in
-place of its active forest; on texts in or near the instance format and the
-konect ``u v`` format, which the chunked parsers must read exactly as they
-do with every line read on its own; on weak component labels against a
+place of its active forest, and as it does when it files every new path
+head's incoming edges at once; on texts in or near the instance format and
+the konect ``u v`` format, which the chunked parsers must read exactly as
+they do with every line read on its own; on weak component labels against a
 PlainDSU; and on konect-style ``u v`` texts through the super-root
 pipeline. A failure shrinks to a minimal example. Examples are
 derandomized, so every run draws the same ones."""
@@ -18,7 +19,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import (SOLVERS, parse_line_by_line,  # noqa: E402
+from conftest import (SOLVERS, eager_ggst, parse_line_by_line,  # noqa: E402
                       parse_outcome, parse_plain_line_by_line, scan_ggst)
 from dmst import (Graph, Infeasible, PlainDSU,  # noqa: E402
                   attach_super_root, build_leaf_map, gen_er_rooted, ggst_solve,
@@ -148,6 +149,36 @@ def test_ggst_picks_match_scan_forest_on_er_rooted(n, max_w, seed):
     # eight edges per vertex: the fold meets many equal-cost passive edges
     g = gen_er_rooted(n, 8 * n, max_w, seed)
     assert ggst_trace(ggst_solve, g) == ggst_trace(scan_ggst, g)
+
+
+# a fresh head's scan and a contraction's late filing must pick exactly
+# what filing every new head's incoming edges at once picks; the forest
+# work, and so the counters, differ
+def ggst_picks(solve, g: Graph):
+    r = weight_or_infeasible(solve, g)
+    return r if r is Infeasible else (r.picked, r.forest_parent,
+                                      r.total_weight)
+
+
+@PROPS
+@given(graphs())
+def test_lazy_ggst_matches_eager(g):
+    # both with their debug walks, which hold for the eager order too
+    assert (ggst_picks(lambda h: ggst_solve(h, debug=True), g)
+            == ggst_picks(lambda h: eager_ggst(h, debug=True), g))
+
+
+@TIES
+@given(graphs(max_n=14, max_m=50, max_w=2))
+def test_lazy_ggst_matches_eager_on_ties(g):
+    assert ggst_picks(ggst_solve, g) == ggst_picks(eager_ggst, g)
+
+
+@TIES
+@given(st.integers(1, 60), st.integers(1, 5), st.integers(0, 2**32))
+def test_lazy_ggst_matches_eager_on_er_rooted(n, max_w, seed):
+    g = gen_er_rooted(n, 8 * n, max_w, seed)
+    assert ggst_picks(ggst_solve, g) == ggst_picks(eager_ggst, g)
 
 
 # small integers, sometimes junk built from the characters that border on
