@@ -95,7 +95,7 @@ class ActiveForest:
     # delete, the hot paths: a shared splice helper costs a call per
     # splice and measured 2-8 % slower per ggst solve.
 
-    def fill(self, home: int, edges, passive: list[list[int]],
+    def fill(self, home: int, edges, passive: dict[int, list[int]],
              covered) -> None:
         """File each edge of edges into home's heap, home being the
         representative of every target, in one pass: skip an origin inside

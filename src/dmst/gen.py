@@ -28,7 +28,12 @@ def gen_er_rooted(n: int, m: int, max_w: int, seed: int) -> Graph:
     """Feasible random instance: root 0, a random spanning arborescence
     from the root (vertex at shuffle rank j gets an edge from a uniform
     smaller rank), m-(n-1) extra uniform edges, weights uniform in
-    [1, max_w]. Fully determined by the seed."""
+    [1, max_w]. Fully determined by the seed.
+
+    Each draw is ``rng.below(b)`` for its bound b, in this order: the
+    shuffle's, the tree parents', each extra edge's origin then target,
+    then the weights. They are taken from the lane kernel's raw outputs
+    as ``z % b``, which is what ``below`` returns."""
     if n < 1:
         raise ValueError("n must be positive")
     if m < n - 1:
@@ -37,13 +42,13 @@ def gen_er_rooted(n: int, m: int, max_w: int, seed: int) -> Graph:
         raise ValueError("max_w must be at least 1")
     rng = SplitMix64(seed)
     ranked = list(range(1, n))
-    for i in range(len(ranked) - 1, 0, -1):
-        j = rng.below(i + 1)
+    for i, z in zip(range(n - 2, 0, -1), rng._raw(max(n - 2, 0))):
+        j = z % (i + 1)
         ranked[i], ranked[j] = ranked[j], ranked[i]
     order = [0] + ranked
-    org = [order[rng.below(j)] for j in range(1, n)]
+    org = [order[z % j] for j, z in zip(range(1, n), rng._raw(n - 1))]
     tgt = ranked
-    for _ in range(m - (n - 1)):
-        org.append(rng.below(n))
-        tgt.append(rng.below(n))
+    ends = [z % n for z in rng._raw(2 * (m - (n - 1)))]
+    org += ends[0::2]
+    tgt += ends[1::2]
     return Graph(n, 0, org, tgt, rng.uniform(m, 1, max_w))

@@ -18,11 +18,12 @@ Each origin super-vertex x has at most one active edge, its front
 ``af.eid[x]`` in the ActiveForest: its edge into the newest filed path
 vertex it reaches, the cheaper of a parallel pair. A replaced front is
 demoted into ``passive[t]`` of its target t, the only record of demoted
-edges. A contraction shifts member costs in the DSU offsets, deletes the
-members' own fronts (their edges became self-loops), joins the members,
-and then files into the merged vertex, newest member first, by one
-``af.fill``: each filed member's passive list and each fresh member's
-incoming edges from outside the merged vertex. An edge from an origin
+edges; a vertex gets that list when it is filed. A contraction shifts
+member costs in the DSU offsets, deletes the members' own fronts (their
+edges became self-loops), joins the members, and then files into the
+merged vertex, newest member first, by one ``af.fill``: each filed
+member's passive list and each fresh member's incoming edges from
+outside the merged vertex. An edge from an origin
 outside becomes that origin's front when it is smaller in
 ``(cost, edge id)``, the first in the order every layer uses, or when
 the front enters an older vertex, which demotes the front; an entry
@@ -61,11 +62,13 @@ class GgstSolver:
         for eid, v in enumerate(graph.tgt):
             in_adj[v].append(eid)
         self.in_adj = in_adj
-        self.passive: list[list[int]] = [[] for _ in range(n)]
+        # a filed vertex's demoted edges; only a contraction's merged
+        # vertex gets a list, so a fresh vertex holds none
+        self.passive: dict[int, list[int]] = {}
         # 1 at a contraction's merged vertex: its incoming edges are filed
         self.filed = bytearray(n)
         # the root and finalized paths; a covered vertex is never contracted,
-        # so its passive list is never read
+        # so a finalized path's passive lists are dropped
         self.covered = bytearray(n)
         if n:  # the empty instance has no root vertex
             self.covered[root] = 1
@@ -145,14 +148,14 @@ class GgstSolver:
                 entries = []
                 for r in reversed(members):
                     if filed[r]:
-                        entries += passive[r]
-                        passive[r] = []
+                        entries += passive.pop(r)
                     else:  # edges from inside would only be skipped
                         entries += [e for e in in_adj[r]
                                     if parent[org[e]] != merged]
                 if entries:  # skips fill's set-up on the many empty folds
                     af.fill(merged, entries, passive, covered)
                 filed[merged] = 1
+                passive[merged] = []
                 log.contract(members, merged)
                 path.append(merged)
                 path_index[merged] = len(path) - 1
@@ -163,7 +166,7 @@ class GgstSolver:
                 # covered origin: the path can absorb nothing more
                 for r in path:
                     covered[r] = 1
-                    passive[r] = []
+                    passive.pop(r, None)
                     path_index[r] = -1
                 path = []
 
@@ -172,7 +175,7 @@ class GgstSolver:
 
     def _debug_check(self, path: list[int], path_index: list[int]) -> None:
         """A fresh path vertex is an uncontracted singleton with no shift,
-        no forest node homed at it and no passive entries. Each filed r's
+        no forest node homed at it and no passive list. Each filed r's
         passive entries target r, at most one per origin; an origin not
         past r on the path has its front past r. Entries from origins
         past r are left for a later fold to drop."""
@@ -186,7 +189,8 @@ class GgstSolver:
                 assert cdsu.size[r] == 1 and cdsu.shift[r] == 0, \
                     "fresh vertex is not an uncontracted singleton"
                 assert r not in homes, "forest node homed at a fresh vertex"
-                assert not self.passive[r], "fresh vertex has passive entries"
+                assert r not in self.passive, \
+                    "fresh vertex has passive entries"
                 continue
             i = path_index[r]
             origins = set()

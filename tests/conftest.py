@@ -3,8 +3,9 @@ from unittest import mock
 
 import pytest
 
-from dmst import (GgstSolver, Graph, Infeasible, ParseError, ggst_solve,
-                  parse_edge_list, parse_plain_edge_list, tarjan_solve)
+from dmst import (GgstSolver, Graph, Infeasible, ParseError, SplitMix64,
+                  ggst_solve, parse_edge_list, parse_plain_edge_list,
+                  tarjan_solve)
 from dmst import graph as graph_mod
 from dmst.recon import PickLog
 
@@ -80,6 +81,23 @@ def parse_outcome(parse, text: str):
         return parse(text)
     except ParseError as e:
         return str(e)
+
+
+def scalar_gen_er_rooted(n: int, m: int, max_w: int, seed: int) -> Graph:
+    """gen_er_rooted with every draw a ``below`` call, one at a time: the
+    reference for the lane kernel's draws."""
+    rng = SplitMix64(seed)
+    ranked = list(range(1, n))
+    for i in range(len(ranked) - 1, 0, -1):
+        j = rng.below(i + 1)
+        ranked[i], ranked[j] = ranked[j], ranked[i]
+    order = [0] + ranked
+    org = [order[rng.below(j)] for j in range(1, n)]
+    tgt = ranked
+    for _ in range(m - (n - 1)):
+        org.append(rng.below(n))
+        tgt.append(rng.below(n))
+    return Graph(n, 0, org, tgt, [1 + rng.below(max_w) for _ in range(m)])
 
 
 def scan_min(cdsu, tgt: list[int], w: list[int], eids, head: int):
@@ -175,6 +193,7 @@ def eager_ggst(graph: Graph, debug: bool = False):
         path.append(u)
         path_index[u] = len(path) - 1
         solver.filed[u] = 1
+        passive[u] = []
         af.fill(u, in_adj[u], passive, covered)
 
     while True:
@@ -213,9 +232,9 @@ def eager_ggst(graph: Graph, debug: bool = False):
                 af.merge_front(a, r)
             entries = []
             for r in reversed(members):
-                entries += passive[r]
-                passive[r] = []
+                entries += passive.pop(r)
             af.fill(merged, entries, passive, covered)
+            passive[merged] = []
             log.contract(members, merged)
             path.append(merged)
             path_index[merged] = len(path) - 1
@@ -224,7 +243,7 @@ def eager_ggst(graph: Graph, debug: bool = False):
         else:
             for r in path:
                 covered[r] = 1
-                passive[r] = []
+                del passive[r]
                 path_index[r] = -1
             path.clear()
     return log.result({**af.counters(), **cdsu.counters()})

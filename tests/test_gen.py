@@ -2,10 +2,11 @@ import hashlib
 
 import pytest
 
-from conftest import SOLVERS
+from conftest import SOLVERS, scalar_gen_er_rooted
 from dmst import (Infeasible, brute_force, gen_antilemon, gen_er_rooted,
                   ggst_solve, is_arborescence, naive_edmonds, serialize,
                   tarjan_solve)
+from dmst.graph import LANES
 
 
 def test_antilemon_k3_shape():
@@ -82,6 +83,19 @@ def test_er_rooted_known_answers():
     text = serialize(gen_er_rooted(500, 2000, 1000, 9))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "c57382a59ce072b6895ee99bb5a1fdf1b778de2ad9055609abc09f7bcaf519ee")
+
+
+@pytest.mark.parametrize("n,m,max_w,seed", [
+    (1, 0, 5, 1), (1, 3, 5, 2), (2, 1, 1, 3), (7, 6, 9, 2**64 + 5),
+    (LANES + 2, LANES + 1, 100, 4), (LANES + 3, 3 * LANES, 2**70, 5),
+    (300, 300 + LANES, 1000, 6), (300, 300 + LANES - 1, 2, 7),
+    (2000, 8000, 1000, 3)])
+def test_er_rooted_matches_scalar_draws(n, m, max_w, seed):
+    # the shuffle, the tree parents, the extra edges' endpoints and the
+    # weights, drawn by the lane kernel, equal one below call per draw;
+    # the sizes put the draw counts on and beside block edges
+    assert gen_er_rooted(n, m, max_w, seed) == scalar_gen_er_rooted(
+        n, m, max_w, seed)
 
 
 def test_er_rooted_shape_and_weights():

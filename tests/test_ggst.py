@@ -80,12 +80,14 @@ def test_post_join_fold_matches_scan_forest():
 
     def counting(home, edges, passive, covered):
         assert size[home] > 1
-        before, lens = front[:], [len(p) for p in passive]
+        before = front[:]
+        lens = {t: len(p) for t, p in passive.items()}
         fill(home, edges, passive, covered)
         # an edge once a front and a front again came from a passive list
         folded.append([e for x, e in enumerate(front)
                        if e != before[x] and e in filed])
-        demoted.append([e for p, k in zip(passive, lens) for e in p[k:]])
+        demoted.append([e for t in sorted(passive)
+                        for e in passive[t][lens.get(t, 0):]])
         filed.update(e for e in front if e >= 0)
 
     solver.af.fill = counting
@@ -124,7 +126,7 @@ def test_debug_check_keeps_a_fresh_head_out_of_the_forest(prep, message):
     if prep == "fill":
         solver.af.fill(1, solver.in_adj[1], solver.passive, solver.covered)
     else:
-        solver.passive[1].append(solver.in_adj[1][0])
+        solver.passive[1] = [solver.in_adj[1][0]]
     with pytest.raises(AssertionError, match=message):
         solver.run()
 
@@ -280,7 +282,7 @@ def test_golden_trace_and_counters(make, want, debug_modes):
 
 def test_run_frees_every_passive_list():
     # a finalized path is never contracted, so nothing reads its passive
-    # lists again: none may be left holding demoted edges after the solve
+    # lists again: none may be left after the solve
     rng = random.Random(4)
     graphs = [gen_antilemon(300), gen_er_rooted(2000, 8000, 100, 11)]
     graphs += [random_instance(rng, 14, 50, -2, 2) for _ in range(300)]
@@ -290,7 +292,7 @@ def test_run_frees_every_passive_list():
             solver.run()
         except Infeasible:
             continue
-        assert not any(solver.passive)
+        assert solver.passive == {}
 
 
 def test_solve_leaves_no_cyclic_garbage():

@@ -10,7 +10,7 @@ from dmst import (Edge, Graph, ParseError, SplitMix64, attach_super_root,
                   parse_plain_edge_list, reconstruct, sample_weights,
                   serialize, weak_components)
 from dmst import graph as graph_mod
-from dmst.graph import PARSE_CHUNK, W_LIMIT
+from dmst.graph import LANES, PARSE_CHUNK, W_LIMIT
 
 
 def test_parse_tri():
@@ -268,6 +268,46 @@ def test_splitmix_uniform_is_that_many_below_calls(seed, count, low, high):
     assert bulk.uniform(count, low, high) == [
         low + single.below(high - low + 1) for _ in range(count)]
     assert bulk.next_u64() == single.next_u64()
+
+
+def test_lane_kernel_is_that_many_below_calls():
+    # the lane kernel against the one-draw rule: counts on both sides of
+    # every block edge (a negative count draws nothing), seeds taken modulo
+    # 2**64, negative lows, spans of 1 and past 2**64; a negative span
+    # draws as below does, in (span, 0]. Skipped without hypothesis, like
+    # the other properties
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(
+        seed=st.integers(0, 2**64 - 1) | st.integers(2**64, 2**72),
+        count=st.sampled_from([-1, 0, 1, LANES - 1, LANES, LANES + 1,
+                               2 * LANES, 3 * LANES + 7])
+        | st.integers(0, 4 * LANES),
+        low=st.integers(-2**70, 2**70),
+        span=st.just(1) | st.integers(2, 2**64)
+        | st.integers(2**64 + 1, 2**72) | st.integers(-2**70, -1))
+    def check(seed, count, low, span):
+        bulk, single = SplitMix64(seed), SplitMix64(seed)
+        assert bulk.uniform(count, low, low + span - 1) == [
+            low + single.below(span) for _ in range(count)]
+        assert bulk.next_u64() == single.next_u64()
+
+    check()
+
+
+@pytest.mark.parametrize("count", [1, LANES, LANES + 1])
+def test_uniform_over_an_empty_span_raises_with_the_state_unmoved(count):
+    rng = SplitMix64(3)
+    with pytest.raises(ZeroDivisionError) as caught:
+        rng.uniform(count, 5, 4)
+    with pytest.raises(ZeroDivisionError) as below_caught:
+        SplitMix64(3).below(0)
+    assert str(caught.value) == str(below_caught.value)
+    assert rng.next_u64() == SplitMix64(3).next_u64()
+    assert rng.uniform(0, 5, 4) == []
 
 
 def test_splitmix_below():
