@@ -2,9 +2,10 @@
 
 Contraction-based exact solvers for the rooted directed MST problem:
 a classic contract-and-expand solver with three interchangeable
-incoming-edge-set strategies, a growth-path solver with an active
-forest that meets the O(n log n + m) comparison bound, a shared
-reconstruction phase, oracles, and instance generators.
+incoming-edge-set strategies, a growth-path solver after Gabow et al.
+(its active forest has no cascading cuts and sorts each fold's new
+nodes, so it is exact but does not keep their O(n log n + m) bound),
+a shared reconstruction phase, oracles, and instance generators.
 """
 
 from .active_forest import ActiveForest

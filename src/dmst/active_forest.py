@@ -22,29 +22,42 @@ a fresh heap returns the entry in constant time. Only a stale heap is
 consolidated, keying each root by one int, ``cost * m + eid`` with m the
 edge count and cost without the shift, which orders like ``(cost, eid)``
 and gives that cost back as ``key // m``; the winner becomes the entry
-and the heap fresh again. fill keeps the running minimum of the edges
-it files, so a fresh or empty heap ends fresh with that minimum as its
-entry, and a stale heap stays stale. A heap goes stale when its entry
-is unhooked, when delete splices a child into its non-empty root list,
-and when merge_front joins two non-empty root lists; each consolidation
-is paid for by the roots it walks.
+and the heap fresh again. fill compares the roots it re-keys and the head
+of the path it hangs with the entry, so a fresh or empty heap ends fresh
+with its minimum as its entry, and a stale heap stays stale. A heap goes
+stale when its entry is unhooked, when delete splices a child into its
+non-empty root list, and when merge_front joins two non-empty root lists;
+each consolidation is paid for by the roots it walks.
 
 fill is the only way an edge enters a heap. ggst calls it at most once
 per contraction, with the merged vertex as home: a path vertex's incoming
 edges are filed at its first contraction, together with the members'
 demoted edges, so an origin's front is its edge into the newest filed
 path vertex it reaches. Per edge fill keeps the smaller ``(cost, eid)``
-of the origin's front and the edge. An origin without a front, or one
-whose front enters another heap, has its node spliced into home's root
-list, a moved node unhooked first with its subtree riding along. An
-origin whose front into home is replaced keeps its node: a root stays
-where it is, and a child is cut from its parent, which drops a rank,
-since its new key may precede the parent's. There are no marks or
-cascading cuts: the only structural moves are fill's, delete's (children
-return to their own home heaps), the root-list concatenation merge, and
-consolidation.
-Without cascading cuts a rank is bounded only by n - 1, not by O(log n),
-so consolidation's rank buckets are a reusable list of length n.
+of the origin's front and the edge. A root of home whose front is
+replaced is re-keyed where it stays. Every other origin that gets a front
+becomes a new node: one without a front, one whose front entered another
+heap (a moved node, unhooked with its subtree riding along, its riders
+keeping their homes), and a child of home whose front is replaced, cut
+from its parent, which drops a rank, since its new key may precede the
+parent's. After the loop fill keys the new nodes by their final fronts,
+as consolidation does, sorts them once, and hangs them as one path in
+that order, each the last child of the one before, so only the path's
+head enters home's root list. While that head is its heap's only root,
+deleting it returns the next node as the fresh entry, so a heap that one
+fold filled answers query after query without a consolidation.
+There are no marks or cascading cuts: the only structural moves are
+fill's, delete's (children return to their own home heaps), the
+root-list concatenation merge, and consolidation.
+
+So the forest does not meet Gabow et al.'s O(n log n + m) bound. Without
+cascading cuts a rank is bounded only by n - 1, not by O(log n), so a
+consolidation is not O(log n) amortized, and its rank buckets are a
+reusable list of length n. fill's sort costs O(k log k) comparisons for k
+new nodes. What holds is exactness: a query's answer is the heap's
+``(cost, eid)`` minimum whatever the forest's shape, and the counters
+``af_roots`` (roots walked by consolidations) and ``af_splices`` (children
+returned to root lists by delete) count the work no bound covers.
 
 A node's home heap is the heap of its target's representative,
 ``cdsu.parent[target]``. Four invariants, checked by the debug walk:
@@ -85,10 +98,13 @@ class ActiveForest:
         self.queries = 0
         self.deletes = 0
         self.merges = 0
+        self.roots = 0  # roots walked by consolidations
+        self.splices = 0  # children returned to root lists by delete
 
     def counters(self) -> dict[str, int]:
         return {"af_queries": self.queries, "af_deletes": self.deletes,
-                "af_merges": self.merges}
+                "af_merges": self.merges, "af_roots": self.roots,
+                "af_splices": self.splices}
 
     # -- public operations ---------------------------------------------
     # Unhooks and root-list splices are written out inline in fill and
@@ -102,12 +118,14 @@ class ActiveForest:
         home, and keep the smaller (cost, eid) of the origin's front and the
         edge. A replaced front into another heap t goes to passive[t] unless
         t is covered, and its node moves to home with its subtree; one that
-        enters home keeps its node, cut from its parent if it has one."""
+        enters home keeps its node, cut from its parent if it has one.
+        The new nodes enter as one path in (cost, eid) order, each the
+        last child of the one before, with only its head in the root list."""
         rep, off = self.cdsu.parent, self.cdsu.off
         org, tgt, w, front = self.org, self.tgt, self.w, self.eid
         left, right, up, child = self.left, self.right, self.parent, self.child
-        root_ring = self.root_ring
-        first = last = -1
+        rank, root_ring = self.rank, self.root_ring
+        new = []  # moved, cut and fresh nodes, hung as a path after the loop
         best = entry = root_ring[home]  # the running minimum, and its cost
         bw = w[front[best]] + off[tgt[front[best]]] if best >= 0 else inf
         for e in edges:
@@ -122,7 +140,7 @@ class ActiveForest:
                     cf = w[f] + off[tgt[f]]
                     if c > cf or c == cf and e > f:
                         continue
-                    if up[x] < 0:  # a root is re-keyed where it is
+                    if up[x] < 0:  # a root, or a new node, is re-keyed
                         front[x] = e
                         if c < bw or c == bw and e < front[best]:
                             best, bw = x, c
@@ -142,31 +160,50 @@ class ActiveForest:
                 if p >= 0:
                     if child[p] == x:
                         child[p] = r
-                    self.rank[p] -= 1
+                    rank[p] -= 1
                     up[x] = -1
                 elif root_ring[tf] == x:
                     root_ring[tf] = r
                     self.stale[tf] = 1
-            if first < 0:
-                first = x
-            else:  # the new nodes in edge order, spliced in after the loop
-                right[last] = x
-                left[x] = last
-            last = x
+            new.append(x)
             front[x] = e
-            if c < bw or c == bw and e < front[best]:
-                best, bw = x, c
-        if first >= 0:
-            if entry < 0:  # the new nodes close into home's ring
-                right[last] = first
-                left[first] = last
-                self.stale[home] = 0
-            else:  # they go before the entry, as delete's splice does
-                tail = left[entry]
-                right[tail] = first
-                left[first] = tail
-                right[last] = entry
-                left[entry] = last
+        if not new:
+            root_ring[home] = best
+            return
+        # key each new node by its final front, as _consolidate does: an
+        # origin filed twice here may have been re-keyed after it joined new
+        m = len(w)
+        keys = [(w[f] + off[tgt[f]]) * m + f
+                for f in map(front.__getitem__, new)]
+        keys.sort()
+        key = keys[0]
+        head = prev = rep[org[key % m]]
+        for k in keys[1:]:
+            x = rep[org[k % m]]
+            up[x] = prev
+            c = child[prev]
+            if c < 0:
+                left[x] = right[x] = x
+                child[prev] = x
+            else:  # a moved or cut node keeps the subtree it carries
+                tail = left[c]
+                left[x] = tail
+                right[x] = c
+                right[tail] = x
+                left[c] = x
+            rank[prev] += 1
+            prev = x
+        if entry < 0:  # the head alone is home's ring
+            left[head] = right[head] = head
+            self.stale[home] = 0
+        else:  # it goes before the entry, as delete's splice does
+            tail = left[entry]
+            right[tail] = head
+            left[head] = tail
+            right[head] = entry
+            left[entry] = head
+        if best < 0 or key < bw * m + front[best]:
+            best = head
         root_ring[home] = best  # any root will do as a stale heap's entry
 
     def delete(self, origin: int) -> None:
@@ -202,6 +239,7 @@ class ActiveForest:
         if c < 0:
             return
         self.child[origin] = -1
+        self.splices += self.rank[origin]
         self.rank[origin] = 0
         x = c
         while True:
@@ -329,6 +367,7 @@ class ActiveForest:
         left[first] = prev
         root_ring[head] = best
         self.stale[head] = 0
+        self.roots += len(filled)
         return eid[best], best_key // m + self.cdsu.shift[head]
 
     # -- debug walk ------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Growth-path arborescence solver, O(n log n + m).
+"""Growth-path solver of Gabow et al., without their O(n log n + m) bound.
 
 The solver grows a path backwards from an uncovered vertex by repeatedly
 picking the cheapest edge into the path head. Three cases per pick: the

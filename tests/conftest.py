@@ -114,11 +114,20 @@ def scan_min(cdsu, tgt: list[int], w: list[int], eids, head: int):
     return None if best is None else best[::-1]
 
 
+# the active forest's counters that count work on the shapes of its
+# heaps, which a ScanForest does not have
+SHAPE_COUNTERS = ("af_roots", "af_splices")
+
+
+def shape_free(counters: dict[str, int]) -> dict[str, int]:
+    return {k: v for k, v in counters.items() if k not in SHAPE_COUNTERS}
+
+
 class ScanForest:
     """ggst's ActiveForest reduced to its front list: query_min scans every
     front for one into the head. The solver's picks must not depend on how
     the forest orders its heaps, so ``scan_ggst`` must give the same picks,
-    forest parents and counters as ``ggst_solve``."""
+    forest parents and shape-free counters as ``ggst_solve``."""
 
     def __init__(self, cdsu, org: list[int], tgt: list[int], w: list[int]):
         self.cdsu, self.org, self.tgt, self.w = cdsu, org, tgt, w

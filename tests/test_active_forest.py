@@ -60,6 +60,14 @@ class Rig:
             out.append(self.af.right[out[-1]])
         return out
 
+    def chain(self, head: int) -> list[int]:
+        """The origins from head down through each one's last child: a
+        path that fill hung, when head is its first node."""
+        out = [head]
+        while self.af.child[out[-1]] >= 0:
+            out.append(self.af.left[self.af.child[out[-1]]])
+        return out
+
     def scan_min(self, head: int):
         return scan_min(self.cdsu, self.tgt, self.w, self.active.values(), head)
 
@@ -406,8 +414,10 @@ def test_fill_files_each_origin_once_with_the_minimum_as_entry():
         rig.active[o] = rig.add_edge(o, h, c)
     rig.fill(h, eids + list(rig.active.values()))
     af = rig.af
-    # the ring from its entry, 6, in in-edge order
-    assert rig.ring(af.root_ring[h]) == [6, 7, 5] and af.stale[h] == 0
+    # one path in (cost, eid) order, its head the ring's only root
+    assert rig.ring(af.root_ring[h]) == [6] and af.stale[h] == 0
+    assert rig.chain(6) == [6, 7, 5]
+    assert [af.rank[o] for o in (6, 7, 5)] == [1, 1, 0]
     assert af.query_min(h) == rig.scan_min(h) == (rig.active[6], 1)
     af.check_invariants(rig.pos)
 
@@ -425,9 +435,66 @@ def test_fill_parallel_edge_replaces_the_front_and_moves_the_entry(
     rig.active = {5: min(e[0], e[2], key=lambda x: (rig.w[x], x)), 6: e[1]}
     af = rig.af
     assert af.eid[5] == rig.active[5] and af.eid[6] == e[1]
-    assert rig.ring(af.root_ring[h]) == [5, 6] and af.stale[h] == 0
+    # 5 heads the path at its final key, though it entered dearer than 6
+    assert rig.ring(af.root_ring[h]) == [5] and af.stale[h] == 0
+    assert rig.chain(5) == [5, 6] and af.rank[5] == 1 and af.rank[6] == 0
     assert af.query_min(h) == rig.scan_min(h) == (rig.active[5], costs[2])
     af.check_invariants(rig.pos)
+
+
+def test_fill_keys_an_origin_at_its_final_front():
+    # origin 5 joins the new nodes dearest, and its second edge re-keys it
+    # cheapest: the path must sort by the final fronts, not by the keys
+    # the nodes had when they joined
+    rig = Rig()
+    h = rig.extend()
+    e = [rig.add_edge(o, h, c) for o, c in ((5, 9), (6, 4), (7, 6), (5, 1))]
+    rig.fill(h, e)
+    rig.active = {5: e[3], 6: e[1], 7: e[2]}
+    af = rig.af
+    assert af.eid[5] == e[3]
+    assert rig.ring(af.root_ring[h]) == [5] and rig.chain(5) == [5, 6, 7]
+    assert [af.rank[o] for o in (5, 6, 7)] == [1, 1, 0]
+    af.check_invariants(rig.pos)
+    # the path answers query after query, and nothing is consolidated
+    for o, want in ((5, (e[3], 1)), (6, (e[1], 4)), (7, (e[2], 6))):
+        assert af.query_min(h) == rig.scan_min(h) == want
+        af.delete(o)
+        del rig.active[o]
+        af.check_invariants(rig.pos)
+    assert af.query_min(h) is None
+    assert af.roots == 0 and af.splices == 2
+
+
+def test_fill_hangs_the_next_path_node_beside_a_moved_nodes_riders():
+    # origin 3 moves from heap a to b carrying its child 4, whose home
+    # stays a; in the path 5, 3, 6 node 6 joins 3's child ring after 4
+    rig = Rig()
+    a = rig.extend()
+    b = rig.extend()
+    add_front(rig, 3, a, 1)
+    add_front(rig, 4, a, 2)
+    af = rig.af
+    af._consolidate(a)                    # 4 under 3
+    assert af.parent[4] == 3
+    new = {o: rig.add_edge(o, b, c) for o, c in ((3, 5), (6, 7), (5, 0))}
+    rig.fill(b, list(new.values()))
+    rig.active.update(new)
+    assert af.root_ring[a] == -1
+    assert rig.ring(af.root_ring[b]) == [5] and rig.ring(af.child[5]) == [3]
+    assert rig.ring(af.child[3]) == [4, 6] and rig.chain(5) == [5, 3, 6]
+    assert [af.rank[o] for o in (5, 3, 4, 6)] == [1, 2, 0, 0]
+    af.check_invariants(rig.pos)
+    assert af.query_min(b) == rig.scan_min(b) == (new[5], 0)
+    af.delete(5)
+    del rig.active[5]
+    assert af.query_min(b) == rig.scan_min(b) == (new[3], 5)
+    # deleting 3 returns each child to its own home heap
+    af.delete(3)
+    del rig.active[3]
+    af.check_invariants(rig.pos)
+    assert af.query_min(a) == rig.scan_min(a) == (rig.active[4], 2)
+    assert af.query_min(b) == rig.scan_min(b) == (new[6], 7)
 
 
 def test_fill_moving_the_entry_leaves_its_old_heap_stale():
@@ -476,7 +543,10 @@ def test_fill_demotes_replaced_fronts_in_in_edge_order():
     rig.active.update(new)
     assert passive[b] == [old[13], old[10]] and passive[c] == [old[12]]
     assert passive[a] == []
-    assert rig.ring(rig.af.root_ring[d]) == [13, 11, 12, 10]
+    # equal costs: the path runs in edge id order
+    assert rig.ring(rig.af.root_ring[d]) == [13]
+    assert rig.chain(13) == [13, 11, 12, 10]
+    assert [rig.af.rank[o] for o in (13, 11, 12, 10)] == [1, 1, 1, 0]
     for t in (a, b, c):
         assert rig.af.query_min(t) is None
     assert rig.af.query_min(d) == rig.scan_min(d) == (new[13], 2)
@@ -492,7 +562,10 @@ def test_fill_splices_new_nodes_before_a_fresh_heaps_entry():
         rig.active[o] = rig.add_edge(o, h, c)
     rig.fill(h, [rig.active[o] for o in (6, 7, 8)])
     af = rig.af
-    assert rig.ring(3) == [3, 4, 6, 7, 8]
+    # the path's head alone joins the ring, before the old entry
+    assert rig.ring(3) == [3, 4, 7]
+    assert rig.chain(7) == [7, 8, 6]
+    assert [af.rank[o] for o in (7, 8, 6)] == [1, 1, 0]
     assert af.root_ring[h] == 7 and af.stale[h] == 0
     assert af.query_min(h) == rig.scan_min(h) == (rig.active[7], 1)
     af.check_invariants(rig.pos)
@@ -641,8 +714,13 @@ def test_randomized_sequences_match_scan_oracle():
 def test_counters_tick():
     rig = Rig()
     h = rig.extend()
-    rig.file(rig.add_edge(2, h, 4))
+    rig.fill(h, [rig.add_edge(2, h, 4), rig.add_edge(3, h, 5)])  # 2 over 3
     rig.af.query_min(h)
-    rig.af.delete(2)
-    assert rig.af.queries == 1 and rig.af.deletes == 1
-    assert rig.af.counters() == {"af_queries": 1, "af_deletes": 1, "af_merges": 0}
+    rig.af.delete(2)                      # returns 3 to the root list
+    rig.file(rig.add_edge(4, h, 6))       # a second root
+    rig.af.delete(3)                      # unhooks the entry
+    rig.af.query_min(h)                   # consolidates the one root left
+    assert rig.af.queries == 2 and rig.af.deletes == 2
+    assert rig.af.counters() == {"af_queries": 2, "af_deletes": 2,
+                                 "af_merges": 0, "af_roots": 1,
+                                 "af_splices": 1}

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_instance, scan_ggst
+from conftest import random_instance, scan_ggst, shape_free
 from dmst import (GgstSolver, Infeasible, brute_force, build_leaf_map,
                   gen_antilemon, gen_er_rooted, ggst_solve, is_arborescence,
                   parse_edge_list, reconstruct, tarjan_solve)
@@ -98,7 +98,7 @@ def test_post_join_fold_matches_scan_forest():
     assert r.total_weight == ref.total_weight == 8
     assert r.picked == ref.picked == [5, 4, 8, 10, 3, 12, 9, 21]
     assert r.forest_parent == ref.forest_parent
-    assert r.counters == ref.counters
+    assert shape_free(r.counters) == ref.counters
     assert r.counters["contractions"] == 3
 
 
@@ -132,31 +132,42 @@ def test_debug_check_keeps_a_fresh_head_out_of_the_forest(prep, message):
 
 
 def test_fold_rekeys_a_root_in_place():
-    # each of the last two contractions files a fresh member's edge from
-    # an origin whose front already enters the merged heap, and cheaper;
-    # the node keeps its place: origin 4 in a stale heap, then origin 3
-    # as the entry of a fresh one
+    # the first contraction files a path, origin 1 over origin 4. Each of
+    # the last two files a fresh member's edge from an origin whose front
+    # already enters the merged heap, and cheaper; the node keeps its
+    # place: origin 4 as the entry of a fresh heap, beside the one-node
+    # path of origin 3, then origin 3 in a stale heap
     g = parse_edge_list("5 14 3\n0 2 -1\n3 4 1\n2 1 -4\n4 2 1\n1 4 4\n"
                         "0 2 5\n1 4 -2\n2 0 -5\n3 1 1\n0 4 -3\n1 2 -1\n"
                         "4 1 -3\n4 4 -2\n1 4 -3\n")
     solver = GgstSolver(g, debug=True)
     af = solver.af
     fill = af.fill
-    rekeyed = []
+    rekeyed, shapes = [], []
+
+    def ring(entry):
+        out = [entry] if entry >= 0 else []
+        while out and af.right[out[-1]] != entry:
+            out.append(af.right[out[-1]])
+        return out
 
     def recording(home, edges, passive, covered):
-        roots, x = {}, af.root_ring[home]
-        while x >= 0 and x not in roots:
-            roots[x] = af.eid[x]
-            x = af.right[x]
+        roots = {x: af.eid[x] for x in ring(af.root_ring[home])}
         stale = af.stale[home]
         fill(home, edges, passive, covered)
         rekeyed.extend((x, af.eid[x], stale) for x, e in roots.items()
                        if af.eid[x] != e and af.parent[x] < 0)
+        # each root as (origin, eid, rank, child ring), the entry, the flag
+        shapes.append(([(x, af.eid[x], af.rank[x], ring(af.child[x]))
+                        for x in ring(af.root_ring[home])],
+                       af.root_ring[home], af.stale[home]))
 
     af.fill = recording
     r = solver.run()
-    assert rekeyed == [(4, 11, 1), (3, 1, 0)]
+    assert rekeyed == [(4, 11, 0), (3, 1, 1)]
+    assert shapes == [([(1, 10, 1, [4])], 1, 0),
+                      ([(4, 11, 0, []), (3, 8, 0, [])], 4, 0),
+                      ([(3, 1, 0, [])], 3, 1)]
     assert r.counters["contractions"] == 3
     assert r.total_weight == brute_force(g)[0] == -8
     assert r.picked == scan_ggst(g).picked == [7, 0, 10, 2, 11, 9, 1]
@@ -180,7 +191,7 @@ def test_picks_match_scan_forest_on_a_tie():
     # answered a query with that parent, not the (cost, edge id) minimum
     g = gen_er_rooted(6, 20, 2, 4371)
     r, want = ggst_solve(g, debug=True), scan_ggst(g)
-    assert (r.picked, r.forest_parent, r.counters) == (
+    assert (r.picked, r.forest_parent, shape_free(r.counters)) == (
         want.picked, want.forest_parent, want.counters)
 
 
@@ -230,6 +241,15 @@ def test_antilemon_structure_counters():
     assert is_arborescence(g, ids)
 
 
+def test_antilemon_forest_work_stays_linear():
+    # each fold's new nodes enter as one sorted path, so a query deletes
+    # the path's head and splices its one child back: the forest walks and
+    # splices at most 2n nodes, though every vertex contracts
+    g = gen_antilemon(2000)
+    r = ggst_solve(g)
+    assert r.counters["af_roots"] + r.counters["af_splices"] <= 2 * g.n
+
+
 def test_negative_weights_and_parallel_edges():
     from dmst import Graph
     g = Graph(3, 0, [0, 0, 1, 2, 1], [1, 1, 2, 1, 1], [-5, -9, -1, -8, -100])
@@ -248,17 +268,20 @@ def _digest(xs: list[int]) -> str:
      (300, "a613a851f065d03f", "ba17bb2b85fd0fbe",
       {"picks": 599, "contractions": 299, "summed_cycle_length": 598,
        "af_queries": 299, "af_deletes": 298, "af_merges": 299,
-       "dsu_visits": 299, "head_scans": 300}), (False, True)),
+       "dsu_visits": 299, "head_scans": 300, "af_roots": 0,
+       "af_splices": 298}), (False, True)),
     (lambda: gen_er_rooted(2000, 8000, 100, 11),
      (47397, "e3d508e6b88b22bd", "b139e3347cf2c7b8",
       {"picks": 2008, "contractions": 9, "summed_cycle_length": 158,
        "af_queries": 9, "af_deletes": 27, "af_merges": 149,
-       "dsu_visits": 229, "head_scans": 1999}), (False,)),
+       "dsu_visits": 229, "head_scans": 1999, "af_roots": 44,
+       "af_splices": 35}), (False,)),
     (lambda: gen_er_rooted(300, 2400, 2, 5),
      (301, "872a13aa6aea4ca6", "7e3c5ca63406ddca",
       {"picks": 316, "contractions": 17, "summed_cycle_length": 97,
        "af_queries": 17, "af_deletes": 48, "af_merges": 80,
-       "dsu_visits": 110, "head_scans": 299}), (False, True)),
+       "dsu_visits": 110, "head_scans": 299, "af_roots": 89,
+       "af_splices": 70}), (False, True)),
 ], ids=["antilemon-300", "er-2000-8000", "er-300-2400-ties"])
 def test_golden_trace_and_counters(make, want, debug_modes):
     # the trace and every counter on fixed instances: a change to the

@@ -20,7 +20,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import (SOLVERS, eager_ggst, parse_line_by_line,  # noqa: E402
-                      parse_outcome, parse_plain_line_by_line, scan_ggst)
+                      parse_outcome, parse_plain_line_by_line, scan_ggst,
+                      shape_free)
 from dmst import (Graph, Infeasible, PlainDSU,  # noqa: E402
                   attach_super_root, build_leaf_map, gen_er_rooted, ggst_solve,
                   is_arborescence, naive_edmonds, parse_edge_list,
@@ -129,7 +130,8 @@ def test_ggst_debug_checks_pass(g):
 
 def ggst_trace(solve, g: Graph):
     r = weight_or_infeasible(solve, g)
-    return r if r is Infeasible else (r.picked, r.forest_parent, r.counters)
+    return r if r is Infeasible else (r.picked, r.forest_parent,
+                                      shape_free(r.counters))
 
 
 # ties are common at these weights: which equal-cost edge ggst picks must

@@ -182,7 +182,8 @@ def test_counters_expose_strategy_specific_work():
     own = {"tarjan-sil": {"queue_moves", "list_merge_scan"},
            "tarjan-heap": {"melds"},
            "tarjan-matrix": {"cells_scanned"},
-           "ggst": {"af_queries", "af_deletes", "af_merges", "head_scans"}}
+           "ggst": {"af_queries", "af_deletes", "af_merges", "af_roots",
+                    "af_splices", "head_scans"}}
     # the key set does not depend on the instance, even one with no work
     for g in (gen_er_rooted(8, 16, 20, 17), parse_edge_list("1 0 0\n")):
         for config, solve in SOLVERS.items():
