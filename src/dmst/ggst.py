@@ -41,7 +41,7 @@ from .active_forest import ActiveForest
 from .dsu import ContractionDSU
 from .errors import Infeasible
 from .graph import Graph
-from .recon import PickLog, SolveResult
+from .recon import _TICK_MASK, PickLog, SolveResult
 
 
 class GgstSolver:
@@ -84,6 +84,8 @@ class GgstSolver:
         in_adj, passive, filed = self.in_adj, self.passive, self.filed
         debug = self.debug
         log = PickLog(n, self.deadline, debug)
+        picked, costs, pick_for = log.picked, log.costs, log.pick_for
+        forest_parent = log.forest_parent
         head_scans = 0
 
         covered = self.covered
@@ -119,7 +121,15 @@ class GgstSolver:
                 if eid < 0:
                     raise Infeasible
                 head_scans += 1
-            log.pick(head, eid, cost)
+            i = len(picked)
+            if not i & _TICK_MASK:
+                log.poll()
+            if debug:
+                log.check_head(head)
+            picked.append(eid)
+            costs.append(cost)
+            forest_parent.append(-1)
+            pick_for[head] = i
             u = parent[org[eid]]
             j = path_index[u]
 
@@ -129,12 +139,11 @@ class GgstSolver:
                 del path[j:]
                 for r in members:
                     path_index[r] = -1
-                for r, pc in zip(members, log.pick_costs(members)):
-                    if pc:
+                    if pc := costs[pick_for[r]]:
                         cdsu.add_offset(r, -pc)
                 if debug:
                     for r in members:
-                        e2 = log.edge_of(r)
+                        e2 = picked[pick_for[r]]
                         assert w[e2] + cdsu.offset(tgt[e2]) == 0, \
                             "cycle edge cost not zeroed"
                 for r in members:

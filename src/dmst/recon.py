@@ -1,10 +1,11 @@
 """The picked-edge log both solvers write, and reconstruction from it.
 
-The log is the solve's trace. It owns no DSU, queue or cost shift; a
-solver reads back only a cycle member's pick and that pick's cost. The
-picks it records form a forest: right after a contraction a solver picks
-into the merged super-vertex, and that pick becomes the parent of every
-cycle member's pick. Walking the picks newest to oldest, every undeleted
+The log is the solve's trace. It owns no DSU, queue or cost shift, and it
+has no per-pick method: a solver appends each pick to the log's columns
+itself and reads a cycle member's pick and its cost back from them. The
+picks form a forest: right after a contraction a solver picks into the
+merged super-vertex, and that pick becomes the parent of every cycle
+member's pick. Walking the picks newest to oldest, every undeleted
 pick is a forest root and belongs to the answer; committing to it deletes
 the chain of earlier picks it supersedes, from the leaf of its original
 target upward.
@@ -19,7 +20,7 @@ from typing import Optional
 from .errors import SolveTimeout
 from .graph import Graph
 
-_TICK_MASK = 511  # deadline polled every 512 picks, and every 512 other steps
+_TICK_MASK = 511  # deadline polled every 512 picks and 512 skipped self-loops
 
 
 @dataclass
@@ -33,9 +34,11 @@ class SolveResult:
 
 
 class PickLog:
-    """One solve's picks, contractions and deadline. When picks close a
-    cycle, a solver shifts the members' costs by ``pick_costs``, joins the
-    members, calls ``contract`` and picks next into the merged vertex."""
+    """One solve's picks, contractions and deadline. A solver appends each
+    pick to the columns itself, after a poll every 512 picks and, in debug,
+    ``check_head``. When picks close a cycle, it shifts each member's costs
+    by its pick's cost, joins the members, calls ``contract`` and picks
+    next into the merged vertex."""
 
     def __init__(self, n: int, deadline: Optional[float], debug: bool):
         self.n = n
@@ -48,41 +51,16 @@ class PickLog:
         self.next_head = -1  # debug only: the vertex the next pick must enter
         self.contractions = 0
         self.cycle_len_sum = 0
-        self.ticks = 0
 
-    def _poll(self) -> None:
+    def poll(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolveTimeout
 
-    def tick(self) -> None:
-        """Count one loop step that picks nothing; polls the deadline."""
-        self.ticks += 1
-        if not self.ticks & _TICK_MASK:
-            self._poll()
-
-    def pick(self, head: int, eid: int, cost: int) -> None:
-        """Accept edge eid, at current cost ``cost``, into super-vertex head."""
-        picked = self.picked
-        idx = len(picked)
-        if not idx & _TICK_MASK:
-            self._poll()
-        if self.debug:
-            if self.next_head >= 0 and head != self.next_head:
-                raise AssertionError("pick skipped the merged vertex")
-            self.next_head = -1
-        picked.append(eid)
-        self.costs.append(cost)
-        self.forest_parent.append(-1)
-        self.pick_for[head] = idx
-
-    def edge_of(self, rep: int) -> int:
-        return self.picked[self.pick_for[rep]]
-
-    def pick_costs(self, members: list[int]) -> list[int]:
-        """Each cycle member's pick cost: the solver shifts the member's
-        incoming costs down by it, so every cycle edge costs 0."""
-        costs, pick_for = self.costs, self.pick_for
-        return [costs[pick_for[rep]] for rep in members]
+    def check_head(self, head: int) -> None:
+        """Debug only: the pick after ``contract`` enters the merged vertex."""
+        if self.next_head >= 0 and head != self.next_head:
+            raise AssertionError("pick skipped the merged vertex")
+        self.next_head = -1
 
     def contract(self, members: list[int], merged: int) -> None:
         """The shifted cycle is now joined into ``merged``; the members'
@@ -110,15 +88,14 @@ class PickLog:
 def build_leaf_map(result: SolveResult, graph: Graph) -> dict[int, int]:
     """For each non-root vertex, the index of the earliest pick whose
     original target is that vertex."""
-    leaf_of: dict[int, int] = {}
-    tgt = graph.tgt
-    for i, eid in enumerate(result.picked):
-        t = tgt[eid]
-        if t not in leaf_of:
-            leaf_of[t] = i
-    for v in range(graph.n):
-        if v != graph.root and v not in leaf_of:
-            raise RuntimeError(f"no picked edge targets vertex {v}")
+    picked = result.picked
+    # newest to oldest, so the earliest pick into a vertex is written last
+    leaf_of = dict(zip(map(graph.tgt.__getitem__, reversed(picked)),
+                       range(len(picked) - 1, -1, -1)))
+    if len(leaf_of) - (graph.root in leaf_of) < graph.n - 1:
+        v = next(v for v in range(graph.n)
+                 if v != graph.root and v not in leaf_of)
+        raise RuntimeError(f"no picked edge targets vertex {v}")
     return leaf_of
 
 

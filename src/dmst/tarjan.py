@@ -20,7 +20,7 @@ from .dsu import PlainDSU
 from .errors import Infeasible
 from .graph import Graph
 from .queues import LazyHeapQueue, MatrixQueue, SilQueue
-from .recon import PickLog, SolveResult
+from .recon import _TICK_MASK, PickLog, SolveResult
 
 STRATEGIES = {"matrix": MatrixQueue, "heap": LazyHeapQueue, "sil": SilQueue}
 
@@ -50,7 +50,11 @@ class TarjanSolver:
         org = graph.org
         queues = self.queues
         extract_min = queues.extract_min
-        log = PickLog(n, self.deadline, self.debug)
+        debug = self.debug
+        log = PickLog(n, self.deadline, debug)
+        picked, costs, pick_for = log.picked, log.costs, log.pick_for
+        forest_parent = log.forest_parent
+        skips = 0  # self-loops discarded, polled like picks
 
         stack = [v for v in range(n) if v != root]
         while stack:
@@ -63,8 +67,18 @@ class TarjanSolver:
                 u = parent[org[eid]]
                 if u != v:
                     break
-                log.tick()
-            log.pick(v, eid, cost)
+                skips += 1
+                if not skips & _TICK_MASK:
+                    log.poll()
+            i = len(picked)
+            if not i & _TICK_MASK:
+                log.poll()
+            if debug:
+                log.check_head(v)
+            picked.append(eid)
+            costs.append(cost)
+            forest_parent.append(-1)
+            pick_for[v] = i
             if wparent[u] != wparent[v]:
                 wdsu.join(u, v)
                 continue
@@ -73,9 +87,9 @@ class TarjanSolver:
             cur = u
             while cur != v:
                 members.append(cur)
-                cur = parent[org[log.edge_of(cur)]]
-            for rep, pc in zip(members, log.pick_costs(members)):
-                if pc:
+                cur = parent[org[picked[pick_for[cur]]]]
+            for rep in members:
+                if pc := costs[pick_for[rep]]:
                     queues.add_constant(rep, -pc)
             merged = members[0]
             for rep in members[1:]:

@@ -7,7 +7,7 @@ from dmst import (GgstSolver, Graph, Infeasible, ParseError, SplitMix64,
                   ggst_solve, parse_edge_list, parse_plain_edge_list,
                   tarjan_solve)
 from dmst import graph as graph_mod
-from dmst.recon import PickLog
+from dmst.recon import _TICK_MASK, PickLog
 
 G_ONE_TEXT = "1 0 0\n"
 G_TRI_TEXT = "3 4 0\n0 1 5\n0 2 7\n1 2 1\n2 1 1\n"
@@ -191,6 +191,7 @@ def eager_ggst(graph: Graph, debug: bool = False):
     solver = GgstSolver(graph, debug=debug)
     n = graph.n
     cdsu, af, log = solver.cdsu, solver.af, PickLog(n, None, debug)
+    picked, costs, pick_for = log.picked, log.costs, log.pick_for
     parent, front = cdsu.parent, af.eid
     org = graph.org
     in_adj, passive, covered = solver.in_adj, solver.passive, solver.covered
@@ -220,7 +221,15 @@ def eager_ggst(graph: Graph, debug: bool = False):
         if res is None:
             raise Infeasible
         eid, cost = res
-        log.pick(head, eid, cost)
+        i = len(picked)
+        if not i & _TICK_MASK:
+            log.poll()
+        if debug:
+            log.check_head(head)
+        picked.append(eid)
+        costs.append(cost)
+        log.forest_parent.append(-1)
+        pick_for[head] = i
         u = parent[org[eid]]
         j = path_index[u]
         if j >= 0:
@@ -228,8 +237,7 @@ def eager_ggst(graph: Graph, debug: bool = False):
             del path[j:]
             for r in members:
                 path_index[r] = -1
-            for r, pc in zip(members, log.pick_costs(members)):
-                if pc:
+                if pc := costs[pick_for[r]]:
                     cdsu.add_offset(r, -pc)
             for r in members:
                 if front[r] >= 0:

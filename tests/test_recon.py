@@ -1,5 +1,6 @@
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,6 +8,7 @@ from conftest import SOLVERS, random_instance
 from dmst import (Graph, Infeasible, SolveTimeout, brute_force, build_leaf_map,
                   gen_antilemon, ggst_solve, is_arborescence, reconstruct,
                   tarjan_solve)
+from dmst import recon
 from dmst.recon import PickLog
 from dmst.tarjan import SolveResult
 
@@ -68,6 +70,22 @@ def test_past_deadline_raises_timeout(config):
         SOLVERS[config](gen_antilemon(400), deadline=time.monotonic() - 1)
 
 
+@pytest.mark.parametrize("config", sorted(SOLVERS))
+def test_deadline_passed_mid_solve_raises_timeout(config, monkeypatch):
+    # the clock passes the deadline only after the first poll, at pick 0,
+    # so only a later poll can raise: antilemon k=400 takes about 800 picks
+    polls = []
+
+    def monotonic():
+        polls.append(None)
+        return 0.0 if len(polls) == 1 else 2.0
+
+    monkeypatch.setattr(recon, "time", SimpleNamespace(monotonic=monotonic))
+    with pytest.raises(SolveTimeout):
+        SOLVERS[config](gen_antilemon(400), deadline=1.0)
+    assert len(polls) >= 2
+
+
 def test_missing_target_is_reported(g_tri):
     fake = SolveResult(total_weight=0, picked=[0], forest_parent=[-1])
     with pytest.raises(RuntimeError, match="no picked edge targets vertex 2"):
@@ -116,20 +134,50 @@ def test_visits_stay_linear_in_picked():
         assert len(ids) == g.n - 1
 
 
+def record(log: PickLog, head: int, eid: int, cost: int) -> None:
+    """One pick written into the log's columns as both solvers' loops
+    write it, the debug check first."""
+    if log.debug:
+        log.check_head(head)
+    log.pick_for[head] = len(log.picked)
+    log.picked.append(eid)
+    log.costs.append(cost)
+    log.forest_parent.append(-1)
+
+
 def test_pick_after_contract_must_enter_merged_vertex():
     # contract makes the members' picks children of the next pick, so that
     # pick has to enter the merged vertex; debug mode enforces the rule
     log = PickLog(3, None, debug=True)
-    log.pick(1, 0, 4)
-    log.pick(2, 1, 5)
+    record(log, 1, 0, 4)
+    record(log, 2, 1, 5)
     log.contract([1, 2], 1)
     with pytest.raises(AssertionError, match="merged vertex"):
-        log.pick(0, 2, 0)
+        record(log, 0, 2, 0)
 
     log = PickLog(3, None, debug=True)
-    log.pick(1, 0, 4)
-    log.pick(2, 1, 5)
+    record(log, 1, 0, 4)
+    record(log, 2, 1, 5)
     log.contract([1, 2], 2)
-    log.pick(2, 2, 0)
-    log.pick(0, 3, 1)  # the rule holds for one pick only
+    record(log, 2, 2, 0)
+    record(log, 0, 3, 1)  # the rule holds for one pick only
     assert log.forest_parent == [2, 2, -1, -1]
+
+
+@pytest.mark.parametrize("config", sorted(SOLVERS))
+def test_solver_loop_checks_the_merged_vertex(config, g_cyc, monkeypatch):
+    # contract is told of a vertex other than the merged one, so the
+    # solver's next pick, which enters the merged vertex, breaks the rule;
+    # the check runs in the solver's own loop, and only in debug
+    contract = PickLog.contract
+
+    def misdirected(self, members, merged):
+        contract(self, members, (merged + 1) % self.n)
+
+    want = SOLVERS[config](g_cyc)
+    monkeypatch.setattr(PickLog, "contract", misdirected)
+    with pytest.raises(AssertionError, match="merged vertex"):
+        SOLVERS[config](g_cyc, debug=True)
+    got = SOLVERS[config](g_cyc)
+    assert (got.picked, got.forest_parent) == (want.picked, want.forest_parent)
+    assert got.counters["contractions"] == 1
