@@ -1,13 +1,21 @@
-"""Graph model, instance text format, weight sampling, super-root preparation.
+"""Graph model, instance text formats, weight sampling, super-root preparation.
 
-The text format is a header line ``n m r`` followed by ``m`` lines ``u v w``.
-All vertex indices are 0-based. Self-loops and parallel edges are allowed;
-solvers cope with both.
+The instance format is a header line ``n m r`` followed by ``m`` lines
+``u v w``; konect text is ``u v`` lines. All vertex indices are 0-based.
+Self-loops and parallel edges are allowed; solvers cope with both.
+
+Both parsers read the text in blocks of about ``PARSE_BLOCK`` characters,
+each cut just after a ``\\n``, so no ``\\r\\n`` is split and only one
+block's tokens live at a time. :func:`_columns` takes a well-formed block
+whole; a block it refuses is read line by line, its lines numbered on from
+the blocks before, so a ParseError names its physical line. A line ends at
+``\\n``, ``\\r\\n`` or ``\\r`` only.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -64,39 +72,51 @@ def _parse_int(tok: str, lineno: int) -> int:
         raise ParseError(f"not an integer {tok!r}, line {lineno}") from None
 
 
-# edge lines per chunk: a chunk's token strings live at once, so the chunk
-# stays small next to the columns it fills (at m = 48000, 4096 lines raised
-# the parse peak by about 1 MB and were no faster)
-PARSE_CHUNK = 256
-
+# characters per block, which runs on to the next \n: a block's token
+# strings live at once, so it stays small next to the columns it fills
+PARSE_BLOCK = 4096
 
 # str.splitlines also breaks a line at these, which str.split reads as blanks
 _BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _AS_SPACES = str.maketrans(_BREAKS, " " * len(_BREAKS))
+# blank lines, then the header line as group 1, then its line end
+_HEAD = re.compile(r"(?:[^\S\r\n]*(?:\r\n?|\n))*([^\r\n]*)(?:\r\n?|\n)?")
 
 
-def _lines(text: str) -> list[str]:
-    """text's lines, ended by \\n, \\r\\n or \\r only, so a ParseError counts
-    those; other breaks become spaces, copying only text that has them."""
-    if any(c in text for c in _BREAKS):
-        text = text.translate(_AS_SPACES)
-    return text.splitlines()
+def _line_count(text: str) -> int:
+    """How many lines ``text`` holds, ended by \\n, \\r\\n or \\r."""
+    lone_cr = text.count("\r") - text.count("\r\n") if "\r" in text else 0
+    return text.count("\n") + lone_cr + (text[-1:] not in "\r\n")
+
+
+def _read(text: str, cols: tuple, start: int = 0,
+          lineno: int = 1) -> Iterator[tuple[int, str]]:
+    """Read ``text[start:]``, where line ``lineno`` begins, into the columns
+    of :func:`_columns` block by block; yield ``(lineno, line)`` for each
+    line of a block it refuses, with the other breaks read as blanks."""
+    while start < len(text):
+        end = text.find("\n", start + PARSE_BLOCK) + 1 or len(text)
+        block = text[start:end]
+        if not _columns(block, cols):
+            yield from enumerate(block.translate(_AS_SPACES).splitlines(), lineno)
+        lineno += _line_count(block)
+        start = end
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the ``n m r`` edge-list format.
 
-    The header is the first non-blank line. The edge lines after it are
-    read ``PARSE_CHUNK`` at a time: :func:`_columns` takes a well-formed
-    chunk whole, and a chunk it refuses is read line by line, so every
-    ParseError names its physical line: malformed lines, out-of-range
-    indices, out-of-bound weights and a wrong edge count.
+    The header is the first non-blank line. The text after it is read by
+    :func:`_read` into three columns, bounded by n and ``W_LIMIT``. A
+    ParseError names the line of a malformed line, an out-of-range index
+    or an out-of-bound weight; a wrong edge count names the line after
+    the last.
     """
-    lines = _lines(text)
-    hno = next((i for i, raw in enumerate(lines, 1) if raw.split()), 0)
-    if not hno:
+    head_match = _HEAD.match(text)
+    head = head_match[1].split()
+    if not head:
         raise ParseError("missing header, line 1")
-    head = lines[hno - 1].split()
+    hno = _line_count(text[:head_match.start(1)]) + 1
     if len(head) != 3:
         raise ParseError(f"header must be 'n m r', line {hno}")
     n, m, root = (_parse_int(t, hno) for t in head)
@@ -108,62 +128,61 @@ def parse_edge_list(text: str) -> Graph:
     org: list[int] = []
     tgt: list[int] = []
     ws: list[int] = []
-    cols = ((org, 0, n - 1), (tgt, 0, n - 1), (ws, -W_LIMIT, W_LIMIT))
-    for start in range(hno, len(lines), PARSE_CHUNK):
-        chunk = lines[start:start + PARSE_CHUNK]
-        if _columns(chunk, cols):
+    cols = ((org, int, 0, n - 1), (tgt, int, 0, n - 1),
+            (ws, int, -W_LIMIT, W_LIMIT))
+    for lineno, raw in _read(text, cols, head_match.end(), hno + 1):
+        parts = raw.split()
+        if not parts:
             continue
-        for lineno, raw in enumerate(chunk, start + 1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise ParseError(f"edge line must be 'u v w', line {lineno}")
-            u, v, w = (_parse_int(t, lineno) for t in parts)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"index out of range, line {lineno}")
-            if abs(w) > W_LIMIT:
-                raise ParseError(f"weight out of bound, line {lineno}")
-            org.append(u)
-            tgt.append(v)
-            ws.append(w)
+        if len(parts) != 3:
+            raise ParseError(f"edge line must be 'u v w', line {lineno}")
+        u, v, w = (_parse_int(t, lineno) for t in parts)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"index out of range, line {lineno}")
+        if abs(w) > W_LIMIT:
+            raise ParseError(f"weight out of bound, line {lineno}")
+        org.append(u)
+        tgt.append(v)
+        ws.append(w)
     if len(ws) != m:
-        raise ParseError(f"expected {m} edges, found {len(ws)}, line {len(lines) + 1}")
+        raise ParseError(f"expected {m} edges, found {len(ws)}, line {_line_count(text) + 1}")
     return Graph(n, root, org, tgt, ws)
 
 
-def _columns(chunk: list[str],
-             cols: tuple[tuple[list[int], float, float], ...]) -> bool:
-    """Read ``chunk`` whole into the columns: ``cols`` holds one
-    ``(column, lo, hi)`` per line position. Append every line's integers
-    and return True if each line holds ``len(cols)`` of them, each within
-    its column's bounds; else leave the columns as they were and return
-    False, so the caller reads the chunk line by line.
+def _columns(block: str, cols: tuple) -> bool:
+    """Read ``block`` whole into the columns: ``cols`` holds one
+    ``(column, convert, lo, hi)`` per line position. If each line holds
+    ``len(cols)`` tokens, each taken by its column's ``convert`` to a value
+    in ``[lo, hi]``, append the values and return True; else leave the
+    columns as they were and return False.
 
-    The k lines are joined by k - 1 ``;`` tokens into one string, and with
-    c = ``len(cols)`` column j is every (c + 1)-th token from j. If there
-    are (c + 1)k - 1 tokens and ``int`` takes every column token, no ``;``
-    sits in a column, so the k - 1 separators fill the positions c,
-    2c + 1, ... in order and every line has c tokens. So a blank line, a
-    line of another width or a comment (its first token is no integer) is
-    refused. The new values are then range-checked with min/max. A chunk
-    holding ``_`` is refused, as :func:`_parse_int` refuses the token.
+    Each ``\\n`` becomes a ``;`` token. With c = ``len(cols)``, k of them
+    and l lines (k + 1 if the last has no ``\\n``), the block must split
+    into cl + k tokens with a ``;`` at each (c + 1)-th place from c. As its
+    own text holds no ``;``, these are the k line ends, so every line holds
+    c tokens. It may hold no ``_``, which ``int`` takes, nor a lone
+    ``\\r``: that ends a line, but ``str.split`` reads it as a blank, so
+    ``0 1\\r5`` would pass as one line of three. A column is converted in
+    full before the next.
     """
-    text = " ; ".join(chunk)
-    toks = text.split()
-    step = len(cols) + 1
-    if "_" in text or len(toks) != step * len(chunk) - 1:
+    c = len(cols)
+    k = block.count("\n")
+    toks = block.replace("\n", " ; ").split()
+    if (";" in block or "_" in block
+            or "\r" in block and block.count("\r") != block.count("\r\n")
+            or len(toks) != c * (k + (block[-1] != "\n")) + k
+            or toks[c::c + 1].count(";") != k):
         return False
-    k = len(cols[0][0])
+    size = len(cols[0][0])
     try:
-        for j, (col, lo, hi) in enumerate(cols):
-            col += map(int, toks[j::step])
-            new = col[k:]
+        for j, (col, convert, lo, hi) in enumerate(cols):
+            col += map(convert, toks[j::c + 1])
+            new = col[size:]
             if min(new) < lo or max(new) > hi:
                 raise ValueError
     except ValueError:
-        for col, _, _ in cols:
-            del col[k:]
+        for col, *_ in cols:
+            del col[size:]
         return False
     return True
 
@@ -174,45 +193,46 @@ def serialize(graph: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
+class _Labels(dict):
+    """Label spelling -> its value, so ``int`` runs once per spelling."""
+
+    def __missing__(self, tok: str) -> int:
+        self[tok] = value = int(tok)
+        return value
+
+
 def parse_plain_edge_list(text: str) -> Graph:
     """Parse a headerless ``u v`` list (konect style).
 
     Raw vertex labels are arbitrary non-negative integers and get renumbered
-    densely in sorted label order. Lines starting with ``%`` or ``#`` are
-    skipped, and tokens after the second are ignored. Lines are read
-    ``PARSE_CHUNK`` at a time by the same :func:`_columns` as
-    :func:`parse_edge_list`, two columns wide with no upper bound; a chunk
-    it refuses (a comment, a blank line, another token count, a negative
-    label) is read line by line, so every ParseError names its line. All
-    weights are 0; run :func:`sample_weights` afterwards. The root defaults
-    to vertex 0 and is a placeholder until :func:`attach_super_root`
-    designates a real one.
+    densely in sorted label order, so ``7``, ``007`` and ``+7`` are one
+    vertex. Lines starting with ``%`` or ``#`` are skipped, and tokens after
+    the second are ignored. :func:`_read` reads two columns of label values
+    through :class:`_Labels`. A block refused midway may leave spellings in
+    the labels: each labels an edge line, as a comment's first token is no
+    integer and the second column is read after the first, or the block's
+    line-by-line read raises. All weights are 0; run :func:`sample_weights`
+    afterwards. The root is vertex 0, a placeholder until
+    :func:`attach_super_root` designates a real one.
     """
-    lines = _lines(text)
+    labels = _Labels()
     us: list[int] = []
     vs: list[int] = []
-    cols = ((us, 0, math.inf), (vs, 0, math.inf))
-    for start in range(0, len(lines), PARSE_CHUNK):
-        chunk = lines[start:start + PARSE_CHUNK]
-        if _columns(chunk, cols):
+    label = (labels.__getitem__, 0, math.inf)
+    for lineno, raw in _read(text, ((us, *label), (vs, *label))):
+        s = raw.strip()
+        if not s or s[0] in "%#":
             continue
-        for lineno, raw in enumerate(chunk, start + 1):
-            s = raw.strip()
-            if not s or s[0] in "%#":
-                continue
-            parts = s.split()
-            if len(parts) < 2:
-                raise ParseError(f"edge line must be 'u v', line {lineno}")
-            u = _parse_int(parts[0], lineno)
-            v = _parse_int(parts[1], lineno)
-            if u < 0 or v < 0:
-                raise ParseError(f"index out of range, line {lineno}")
-            us.append(u)
-            vs.append(v)
-    del lines  # the line strings are not needed while renumbering
-    labels = sorted({*us, *vs})
-    dense = dict(zip(labels, range(len(labels))))
-    return Graph(len(labels), 0, list(map(dense.__getitem__, us)),
+        parts = s.split()
+        if len(parts) < 2:
+            raise ParseError(f"edge line must be 'u v', line {lineno}")
+        if min(_parse_int(parts[0], lineno), _parse_int(parts[1], lineno)) < 0:
+            raise ParseError(f"index out of range, line {lineno}")
+        us.append(labels[parts[0]])
+        vs.append(labels[parts[1]])
+    values = sorted(set(labels.values()))
+    dense = dict(zip(values, range(len(values))))
+    return Graph(len(values), 0, list(map(dense.__getitem__, us)),
                  list(map(dense.__getitem__, vs)), [0] * len(us))
 
 

@@ -63,15 +63,15 @@ def _line_by_line(parse, text: str) -> Graph:
 
 
 def parse_line_by_line(text: str) -> Graph:
-    """``parse_edge_list`` with its columnar chunk reader refused, so every
-    edge line is read on its own: the reference the chunked reading must
-    match."""
+    """``parse_edge_list`` with every block refused by its columnar reader,
+    so every edge line is read on its own: the reference the block reading
+    must match."""
     return _line_by_line(parse_edge_list, text)
 
 
 def parse_plain_line_by_line(text: str) -> Graph:
-    """``parse_plain_edge_list`` with the same chunk reader refused: the
-    reference for its chunked reading."""
+    """``parse_plain_edge_list`` with every block refused the same way: the
+    reference for its block reading."""
     return _line_by_line(parse_plain_edge_list, text)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,20 @@ from dmst import (Edge, Graph, ParseError, SplitMix64, attach_super_root,
                   parse_plain_edge_list, reconstruct, sample_weights,
                   serialize, weak_components)
 from dmst import graph as graph_mod
-from dmst.graph import LANES, PARSE_CHUNK, W_LIMIT
+from dmst.graph import LANES, PARSE_BLOCK, W_LIMIT
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """``(block, taken whole)`` for every block a parser offers ``_columns``."""
+    columns, seen = graph_mod._columns, []
+
+    def spy(block, cols):
+        seen.append((block, columns(block, cols)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(graph_mod, "_columns", spy)
+    return seen
 
 
 def test_parse_tri():
@@ -93,61 +107,80 @@ def test_weight_bound():
     "2 1 0\n-1 0 1\n",
     "2 1 0\n0 -1 1\n",
     "2 1 0 x\n0 1 3\n",
+    # a lone \r ends a line, though str.split reads it as a blank: a block
+    # holding one is read line by line (taken whole, the first would be
+    # one line of three)
+    "2 1 0\n0 1\r5\n",
+    "2 5 0\n" + "0 1 5\r" * 4 + "0 1 5\n",
+    "2 2 0\r0 1 5\r\r\n1 0 x\n",
 ])
 def test_bulk_parse_matches_line_parser(text):
     assert (parse_outcome(parse_edge_list, text)
             == parse_outcome(parse_line_by_line, text))
 
 
-def test_generated_instances_take_the_bulk_path(monkeypatch):
-    # several chunks, each taken whole; a later chunk's error still names
-    # its line
+def test_generated_instances_take_the_bulk_path(taken):
+    # the text after the header in several blocks, each taken whole; a
+    # later block's error still names its line
     g = gen_er_rooted(3000, 9000, 100, 5)
     text = serialize(g)
-    columns, taken = graph_mod._columns, []
-
-    def spy(*args):
-        taken.append(columns(*args))
-        return taken[-1]
-
-    monkeypatch.setattr(graph_mod, "_columns", spy)
     assert parse_edge_list(text) == g
-    assert len(taken) == -(-9000 // PARSE_CHUNK) and all(taken)
-    monkeypatch.undo()
+    assert len(taken) > len(text) // (2 * PARSE_BLOCK)
+    assert all(ok for _, ok in taken)
+    assert "".join(b for b, _ in taken) == text[text.index("\n") + 1:]
     lines = text.splitlines()
     lines[8500] = "0 3000 1"
     with pytest.raises(ParseError, match="^index out of range, line 8501$"):
         parse_edge_list("\n".join(lines))
 
 
+@pytest.mark.parametrize("m", [48_000, 192_000])
+def test_parse_peak_does_not_grow_with_the_text(m):
+    # one block's tokens live at a time, not every line of the text: the
+    # peak above the graph kept stays under a bound fixed for all m (all
+    # lines at once cost 3.3 MB at m = 48 000)
+    text = serialize(gen_er_rooted(m // 4, m, 1000, 11))
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.w) == m and peak - kept < 0.25 * 2**20
+
+
 def test_refused_chunk_leaves_the_columns_as_they_were():
     cols = [[7], [8], [9]]
-    bounded = ((cols[0], 0, 1), (cols[1], 0, 1), (cols[2], -W_LIMIT, W_LIMIT))
-    for chunk in (["0 1 3", "1 x 2"], ["0 1 3", "1 2 2"], ["0 1"], [""],
-                  ["0 1 3", "1 0 1_0"], ["0 1 3", "1 0 -4294967297"]):
-        assert not graph_mod._columns(chunk, bounded)
+    bounded = ((cols[0], int, 0, 1), (cols[1], int, 0, 1),
+               (cols[2], int, -W_LIMIT, W_LIMIT))
+    for block in ("0 1 3\n1 x 2\n", "0 1 3\n1 2 2\n", "0 1\n", "\n",
+                  "0 1 3\n1 0 1_0\n", "0 1 3\n1 0 -4294967297\n",
+                  "0 1\r3\n", "0 1 3\n1 ; 0\n", "0 1 3\n "):
+        assert not graph_mod._columns(block, bounded)
         assert cols == [[7], [8], [9]]
-    assert graph_mod._columns(["0 1 3", "1 0 -2"], bounded)
+    assert graph_mod._columns("0 1 3\r\n1 0 -2", bounded)
     assert cols == [[7, 0, 1], [8, 1, 0], [9, 3, -2]]
 
 
 def test_columns_take_any_width_and_bounds():
-    # the plain list's two columns: no upper bound, a third token refused
+    # the plain list's two columns of label values: no upper bound, a
+    # third token or a negative label refused
     us, vs = [], []
-    plain = ((us, 0, math.inf), (vs, 0, math.inf))
-    for chunk in (["5 10 1"], ["5 -1"], ["% 5 10"], ["5 10", ""], ["5"]):
-        assert not graph_mod._columns(chunk, plain)
+    label = (graph_mod._Labels().__getitem__, 0, math.inf)
+    plain = ((us, *label), (vs, *label))
+    for block in ("5 10 1\n", "5 -1\n", "% 5 10\n", "5 10\n\n", "5"):
+        assert not graph_mod._columns(block, plain)
         assert us == vs == []
-    assert graph_mod._columns(["5 10", "\t999999999999   +7", "0 0"], plain)
+    assert graph_mod._columns("5 10\n\t999999999999   +7\n0 0\n", plain)
     assert us == [5, 999999999999, 0] and vs == [10, 7, 0]
     one = [4]
-    assert graph_mod._columns(["1", "2", "-3"], ((one, -3, 2),))
+    assert graph_mod._columns("1\n2\n-3", ((one, int, -3, 2),))
     assert one == [4, 1, 2, -3]
 
 
 def test_refused_chunk_between_whole_ones():
-    # CRLF ends and one blank line, which refuses one chunk: the graph and
-    # a later chunk's error are those of reading every line on its own
+    # CRLF ends and one blank line, which refuses one block: the graph and
+    # a later block's error are those of reading every line on its own
     g = gen_er_rooted(200, 1200, 50, 3)
     lines = serialize(g).splitlines()
     lines.insert(400, "")
@@ -202,6 +235,16 @@ def test_parse_plain_edge_list():
     assert parse_plain_edge_list("0 1\x0c5\n") == parse_plain_edge_list("0 1\n")
     with pytest.raises(ParseError, match="^edge line must be 'u v', line 3$"):
         parse_plain_edge_list("0 1\x0c\n\x0b1 2\n3\x0c\n")
+    # a block refused midway keeps no token of a longer line as a label
+    for text in ("1 2 3 5\n\n", "1 2 ; 5\n\n", "1\r2\n"):
+        assert (parse_outcome(parse_plain_edge_list, text)
+                == parse_outcome(parse_plain_line_by_line, text))
+
+
+def test_plain_spellings_of_one_label_are_one_vertex(taken):
+    g = parse_plain_edge_list("7 1\n007 2\n+7 3\n")
+    assert [ok for _, ok in taken] == [True]
+    assert g.n == 4 and g.org == [3, 3, 3] and g.tgt == [0, 1, 2]
 
 
 def test_form_feeds_keep_line_numbers_past_the_chunks():
@@ -225,32 +268,28 @@ def test_splitmix_determinism():
     assert [c.next_u64() for _ in range(50)] != seq
 
 
-def test_plain_text_takes_the_bulk_path(monkeypatch):
-    # konect-style text over several chunks, with comments in the first and
-    # in a middle chunk: those two are read line by line, the rest whole,
-    # and a later chunk's error still names its line
+def test_plain_text_takes_the_bulk_path(taken):
+    # konect-style text over several blocks, with comments in the first and
+    # in a middle block: those two are read line by line, the rest whole,
+    # and a later block's bad label is reported on its line
     rng = random.Random(4)
-    labels = [rng.randrange(10**8, 10**9) for _ in range(16 * PARSE_CHUNK)]
+    labels = [rng.randrange(10**8, 10**9) for _ in range(4096)]
     lines = [f"{u} {v}" for u, v in zip(labels[0::2], labels[1::2])]
     lines[0:0] = ["% sym unweighted", "% 2048 2048 2048"]
-    lines.insert(5 * PARSE_CHUNK + 3, "# mid-file note")
+    lines.insert(1000, "# mid-file note")
     text = "\n".join(lines) + "\n"
-    columns, taken = graph_mod._columns, []
-
-    def spy(*args):
-        taken.append(columns(*args))
-        return taken[-1]
-
-    monkeypatch.setattr(graph_mod, "_columns", spy)
     g = parse_plain_edge_list(text)
-    assert taken == [False] + [True] * 4 + [False] + [True] * 3
-    monkeypatch.undo()
+    assert "".join(b for b, _ in taken) == text and len(taken) > 4
+    assert [ok for _, ok in taken] == [
+        "%" not in b and "#" not in b for b, _ in taken]
+    assert sum(not ok for _, ok in taken) == 2
     assert g == parse_plain_line_by_line(text)
     assert g.n == len(set(labels))
-    lines[7 * PARSE_CHUNK] = "12 -3"
-    with pytest.raises(ParseError, match=f"^index out of range, line "
-                                         f"{7 * PARSE_CHUNK + 1}$"):
-        parse_plain_edge_list("\n".join(lines))
+    for bad, msg in (("12 -3", "index out of range"),
+                     ("1_0 3", "not an integer '1_0'")):
+        with pytest.raises(ParseError, match=f"^{msg}, line 1801$"):
+            parse_plain_edge_list("\n".join(lines[:1800] + [bad]
+                                            + lines[1801:]))
 
 
 def test_splitmix_known_answers():

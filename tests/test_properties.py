@@ -4,8 +4,9 @@ edges into one vertex shifted by a constant; on tie-heavy graphs and
 er-rooted instances, where ggst must pick exactly as it does with a scan in
 place of its active forest, and as it does when it files every new path
 head's incoming edges at once; on texts in or near the instance format and
-the konect ``u v`` format, which the chunked parsers must read exactly as
-they do with every line read on its own; on weak component labels against a
+the konect ``u v`` format, which the parsers must read block by block,
+with blocks of a few characters, exactly as they do with every line read
+on its own; on weak component labels against a
 PlainDSU; and on konect-style ``u v`` texts through the super-root
 pipeline. A failure shrinks to a minimal example. Examples are
 derandomized, so every run draws the same ones."""
@@ -26,7 +27,7 @@ from dmst import (Graph, Infeasible, PlainDSU,  # noqa: E402
                   attach_super_root, build_leaf_map, gen_er_rooted, ggst_solve,
                   is_arborescence, naive_edmonds, parse_edge_list,
                   parse_plain_edge_list, reconstruct, sample_weights,
-                  weak_components)
+                  serialize, weak_components)
 from dmst import graph as graph_mod  # noqa: E402
 
 PROPS = settings(max_examples=250, deadline=None, derandomize=True,
@@ -194,10 +195,24 @@ def mostly(draw, good, bad=TOKENS):
     return draw(bad if draw(st.integers(0, 4)) == 0 else good)
 
 
+# what splits a line's tokens: blanks, among them the characters at which
+# str.splitlines but no parser ends a line, and a lone \r, which ends the
+# line there though str.split reads it as a blank
+BLANKS = st.sampled_from([" ", "\t", "  ", " \t", "\r", *graph_mod._BREAKS])
+
+
+def join_lines(draw, lines: list[str]) -> str:
+    """The lines, each led by nothing or a blank, joined by line ends
+    drawn one by one: \\n, \\r\\n or a lone \\r."""
+    led = [draw(st.sampled_from(["", " ", "\x0c"])) + line for line in lines]
+    return "".join(led[:1]) + "".join(
+        draw(st.sampled_from(["\n", "\r\n", "\r"])) + line for line in led[1:])
+
+
 @st.composite
 def edge_list_texts(draw) -> str:
     """Text in or near the ``n m r`` format: a header, lines of tokens
-    split by spaces or tabs, blank lines, LF or CRLF. Most texts are a
+    split by blanks, blank lines, LF, CRLF or CR, mixed. Most texts are a
     header and m lines of three tokens, mostly in range."""
     if mostly(draw, st.just(True), st.just(False)):
         n, m = draw(st.integers(1, 4)), draw(st.integers(0, 5))
@@ -213,17 +228,27 @@ def edge_list_texts(draw) -> str:
     for toks in [header, *lines]:
         if not draw(st.integers(0, 9)):
             out.append(draw(st.sampled_from(["", " ", "\t"])))
-        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
-        out.append(draw(st.sampled_from(["", " "])) + sep.join(toks))
+        out.append(draw(BLANKS).join(toks))
     out += [""] * mostly(draw, st.just(0), st.integers(1, 2))
-    return draw(st.sampled_from(["\n", "\r\n"])).join(out)
+    return join_lines(draw, out)
+
+
+@st.composite
+def cr_texts(draw) -> str:
+    """A well-formed instance text with each blank and line end kept or
+    made a lone \\r: read whole, a line a \\r splits would pass as one."""
+    return "".join(draw(st.sampled_from([c, "\r"])) if c in " \n" else c
+                   for c in serialize(draw(graphs())))
 
 
 @PROPS
-@given(edge_list_texts())
-def test_parse_matches_line_parser(text):
-    assert (parse_outcome(parse_edge_list, text)
-            == parse_outcome(parse_line_by_line, text))
+@given(st.one_of(edge_list_texts(), cr_texts()), st.integers(0, 8))
+def test_parse_matches_line_parser(text, block):
+    # blocks of a few characters: block ends fall inside lines, next to
+    # \r\n pairs and lone \r
+    with mock.patch.object(graph_mod, "PARSE_BLOCK", block):
+        assert (parse_outcome(parse_edge_list, text)
+                == parse_outcome(parse_line_by_line, text))
 
 
 @PROPS
@@ -243,7 +268,7 @@ def test_weak_components_match_plain_dsu(data):
             == [smallest[dsu.find(v)] for v in range(n)])
 
 
-# tokens that a two-column chunk must refuse or read as the line does:
+# tokens that a two-column block must refuse or read as the line does:
 # signs, a negative label, "_", a comment's first token, junk
 PLAIN_JUNK = st.sampled_from(["-1", "-0", "+4", "007", "1_0", "_", "%", "#2",
                               "x", "-12"])
@@ -253,7 +278,7 @@ PLAIN_JUNK = st.sampled_from(["-1", "-0", "+4", "007", "1_0", "_", "%", "#2",
 def plain_texts(draw) -> str:
     """Text in or near the konect ``u v`` format: mostly two-label lines,
     with comment lines anywhere, blank lines and lines of three tokens;
-    split by spaces or tabs, LF or CRLF. Half the texts also carry odd
+    split by blanks, LF, CRLF or CR, mixed. Half the texts also carry odd
     tokens and one-token lines, which most often end in a ParseError."""
     label = st.integers(0, 30).map(str)
     odd = draw(st.booleans())
@@ -267,16 +292,14 @@ def plain_texts(draw) -> str:
             toks = draw(st.one_of(
                 st.lists(label, min_size=1 if odd else 3, max_size=3),
                 st.sampled_from([[], ["%", "c"], ["#", "1", "2"], ["%1", "2"]])))
-        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
-        lines.append(draw(st.sampled_from(["", " "])) + sep.join(toks))
-    return (draw(st.sampled_from(["\n", "\r\n"])).join(lines)
-            + draw(st.sampled_from(["", "\n"])))
+        lines.append(draw(BLANKS).join(toks))
+    return join_lines(draw, lines + [""] * draw(st.integers(0, 1)))
 
 
 @PROPS
-@given(plain_texts(), st.integers(1, 4))
-def test_plain_parse_matches_line_parser(text, chunk):
-    # chunks of a few lines, so one text spans several
-    with mock.patch.object(graph_mod, "PARSE_CHUNK", chunk):
+@given(plain_texts(), st.integers(0, 8))
+def test_plain_parse_matches_line_parser(text, block):
+    # blocks of a few characters, so one text spans several
+    with mock.patch.object(graph_mod, "PARSE_BLOCK", block):
         assert (parse_outcome(parse_plain_edge_list, text)
                 == parse_outcome(parse_plain_line_by_line, text))
