@@ -26,8 +26,8 @@ and the heap fresh again. fill compares the roots it re-keys and the head
 of the path it hangs with the entry, so a fresh or empty heap ends fresh
 with its minimum as its entry, and a stale heap stays stale. A heap goes
 stale when its entry is unhooked, when delete splices a child into its
-non-empty root list, and when merge_front joins two non-empty root lists;
-each consolidation is paid for by the roots it walks.
+non-empty root list, and when merge joins two or more non-empty root
+lists; each consolidation is paid for by the roots it walks.
 
 fill is the only way an edge enters a heap. ggst calls it at most once
 per contraction, with the merged vertex as home: a path vertex's incoming
@@ -47,8 +47,8 @@ head enters home's root list. While that head is its heap's only root,
 deleting it returns the next node as the fresh entry, so a heap that one
 fold filled answers query after query without a consolidation.
 There are no marks or cascading cuts: the only structural moves are
-fill's, delete's (children return to their own home heaps), the
-root-list concatenation merge, and consolidation.
+fill's, delete's (children return to their own home heaps), merge's
+root-list concatenation, one per contraction, and consolidation.
 
 So the forest does not meet Gabow et al.'s O(n log n + m) bound. Without
 cascading cuts a rank is bounded only by n - 1, not by O(log n), so a
@@ -262,27 +262,29 @@ class ActiveForest:
                 return
             x = nxt
 
-    def merge_front(self, a: int, b: int) -> None:
-        """Concatenate the root lists of the two just-joined super-vertices
-        under the surviving representative. a and b are the pre-join
-        representatives; the caller has already joined them in the DSU.
-        The merged heap is stale unless one side was empty."""
-        root_ring, left, right = self.root_ring, self.left, self.right
-        ra, rb = root_ring[a], root_ring[b]
-        root_ring[a] = root_ring[b] = -1
-        self.merges += 1
-        stale = self.stale
-        if ra >= 0 and rb >= 0:
-            ta, tb = left[ra], left[rb]
-            right[ta] = rb
-            left[rb] = ta
-            right[tb] = ra
-            left[ra] = tb
+    def merge(self, members: list[int], merged: int) -> None:
+        """Splice the root lists of a just-joined cycle's members, merged
+        the survivor among them, into merged's heap. It is stale when two
+        or more lists were non-empty, and else keeps the one side's flag."""
+        root_ring, left, right, stale = (self.root_ring, self.left,
+                                         self.right, self.stale)
+        entry, flag = -1, 0
+        for r in members:
+            x = root_ring[r]
+            if x < 0:
+                continue
+            root_ring[r] = -1
+            if entry < 0:
+                entry, flag = x, stale[r]
+                continue
+            ta, tb = left[entry], left[x]
+            right[ta] = x
+            left[x] = ta
+            right[tb] = entry
+            left[entry] = tb
             flag = 1
-        else:
-            flag = stale[b] if ra < 0 else stale[a]
-        merged = self.cdsu.parent[a]
-        root_ring[merged] = rb if ra < 0 else ra
+        self.merges += len(members) - 1
+        root_ring[merged] = entry
         stale[merged] = flag
 
     def query_min(self, head: int):

@@ -248,20 +248,16 @@ def _cmd_bench(args, parser: _Parser) -> int:
 
 
 def _cmd_gen(args, parser: _Parser) -> int:
-    if args.family == "antilemon":
-        if args.k is None:
-            parser.error("antilemon needs --k")
-        try:
-            graph = gen_antilemon(args.k)
-        except ValueError as exc:
-            parser.error(str(exc))
-    else:
-        if args.n is None or args.m is None:
-            parser.error("er-rooted needs --n and --m")
-        try:
-            graph = gen_er_rooted(args.n, args.m, args.max_w, args.seed)
-        except ValueError as exc:
-            parser.error(str(exc))
+    antilemon = args.family == "antilemon"
+    if antilemon and args.k is None:
+        parser.error("antilemon needs --k")
+    if not antilemon and (args.n is None or args.m is None):
+        parser.error("er-rooted needs --n and --m")
+    try:
+        graph = (gen_antilemon(args.k) if antilemon else
+                 gen_er_rooted(args.n, args.m, args.max_w, args.seed))
+    except ValueError as exc:
+        parser.error(str(exc))
     text = serialize(graph)
     if args.outfile is None or args.outfile == "-":
         sys.stdout.write(text)

@@ -2,14 +2,15 @@
 
 Every set is flat: ``parent[v]`` is v's representative, so a find is one
 list read and callers on hot paths read ``parent`` directly. A join keeps
-union by size (the first argument's set wins ties) and relabels the smaller
-set, walking its circular member ring ``nxt``; a vertex is relabelled only
-when its set at least doubles, so all joins cost O(n log n) together.
+union by size, the first set winning ties, and relabels each smaller set,
+walking its circular member ring ``nxt``; a vertex is relabelled only when
+its set at least doubles, so all joins cost O(n log n) together.
 
 PlainDSU tracks super-vertices and weakly connected components of chosen
-edges. ContractionDSU, ggst's, additionally carries an additive cost offset
-per set: contracting a cycle subtracts each member's picked cost from all
-of its incoming edges, and the offsets implement that without touching any
+edges, two sets per join. ContractionDSU, ggst's, joins a whole cycle's
+sets at once and additionally carries an additive cost offset per set:
+contracting a cycle subtracts each member's picked cost from all of its
+incoming edges, and the offsets implement that without touching any
 edge; a set's shift sits apart in ``shift[rep]``, as in Tarjan's queues.
 Tarjan's solver shifts costs in its queues and uses PlainDSU only.
 
@@ -36,27 +37,21 @@ class PlainDSU:
         return self.parent[v]
 
     def join(self, a: int, b: int) -> int:
-        parent, size = self.parent, self.size
+        parent, size, nxt = self.parent, self.size, self.nxt
         ra, rb = parent[a], parent[b]
         if ra == rb:
             return ra
         if size[ra] < size[rb]:
             ra, rb = rb, ra
-        self._relabel(ra, rb)
-        nxt = self.nxt
-        nxt[ra], nxt[rb] = nxt[rb], nxt[ra]  # splice the two rings
-        size[ra] += size[rb]
-        self.visits += size[rb]
-        return ra
-
-    def _relabel(self, ra: int, rb: int) -> None:
-        """Point every member of rb's set at ra."""
-        parent, nxt = self.parent, self.nxt
-        parent[rb] = ra
+        parent[rb] = ra  # and every other member of rb's set
         v = nxt[rb]
         while v != rb:
             parent[v] = ra
             v = nxt[v]
+        nxt[ra], nxt[rb] = nxt[rb], nxt[ra]  # splice the two rings
+        size[ra] += size[rb]
+        self.visits += size[rb]
+        return ra
 
 
 class ContractionDSU(PlainDSU):
@@ -79,20 +74,32 @@ class ContractionDSU(PlainDSU):
         """v's offset, the set's shift included."""
         return self.off[v] + self.shift[self.parent[v]]
 
-    def _relabel(self, ra: int, rb: int) -> None:
-        # rb and its members keep their accumulated value, now relative to ra
-        parent, nxt, off, shift = self.parent, self.nxt, self.off, self.shift
-        d = shift[rb] - shift[ra]
-        shift[rb] = 0
-        v = rb
-        while True:
-            parent[v] = ra
-            off[v] += d
-            v = nxt[v]
-            if v == rb:
-                return
-
-    def add_offset(self, rep: int, delta: int) -> None:
-        if self.parent[rep] != rep:
-            raise ValueError("add_offset requires a set representative")
-        self.shift[rep] += delta
+    def join(self, members: list[int]) -> int:
+        """Join the sets of members, distinct representatives, into the
+        first of the largest and return it. Each other set is relabelled
+        with its values kept: its shift moves into its members' ``off``."""
+        parent, size, nxt = self.parent, self.size, self.nxt
+        off, shift = self.off, self.shift
+        merged = members[0]
+        for r in members:
+            if parent[r] != r:
+                raise ValueError("join requires set representatives")
+            if size[r] > size[merged]:
+                merged = r
+        base = shift[merged]
+        for r in members:
+            if r == merged:
+                continue
+            d = shift[r] - base
+            shift[r] = 0
+            v = r
+            while True:
+                parent[v] = merged
+                off[v] += d
+                v = nxt[v]
+                if v == r:
+                    break
+            nxt[merged], nxt[r] = nxt[r], nxt[merged]  # splice the rings
+            size[merged] += size[r]
+            self.visits += size[r]
+        return merged

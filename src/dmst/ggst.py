@@ -18,18 +18,18 @@ Each origin super-vertex x has at most one active edge, its front
 ``af.eid[x]`` in the ActiveForest: its edge into the newest filed path
 vertex it reaches, the cheaper of a parallel pair. A replaced front is
 demoted into ``passive[t]`` of its target t, the only record of demoted
-edges; a vertex gets that list when it is filed. A contraction shifts
-member costs in the DSU offsets, deletes the members' own fronts (their
-edges became self-loops), joins the members, and then files into the
-merged vertex, newest member first, by one ``af.fill``: each filed
-member's passive list and each fresh member's incoming edges from
-outside the merged vertex. An edge from an origin
-outside becomes that origin's front when it is smaller in
-``(cost, edge id)``, the first in the order every layer uses, or when
-the front enters an older vertex, which demotes the front; an entry
-whose origin lies inside is dropped. A covered vertex is never
-contracted, so finalizing a path frees its passive lists and a front
-into a covered vertex is dropped instead of demoted.
+edges; a vertex gets that list when it is filed. A contraction shifts each
+member's costs in its DSU set's ``shift`` and deletes its own front (its
+edge became a self-loop) in one pass over the members. One ``cdsu.join``
+joins them into the largest, one ``af.merge`` splices their root lists,
+and one ``af.fill`` files into the merged vertex, newest member first,
+each filed member's passive list and each fresh member's incoming edges
+from outside the merged vertex. An edge from an origin outside becomes
+that origin's front when it is smaller in ``(cost, edge id)``, the first
+in the order every layer uses, or when the front enters an older vertex,
+which demotes the front; an entry whose origin lies inside is dropped. A
+covered vertex is never contracted, so finalizing a path frees its passive
+lists and a front into a covered vertex is dropped instead of demoted.
 """
 
 from __future__ import annotations
@@ -77,13 +77,13 @@ class GgstSolver:
         graph = self.graph
         n = graph.n
         cdsu = self.cdsu
-        parent = cdsu.parent
+        parent, shift = cdsu.parent, cdsu.shift
         af = self.af
         front = af.eid
         org, tgt, w = graph.org, graph.tgt, graph.w
         in_adj, passive, filed = self.in_adj, self.passive, self.filed
         debug = self.debug
-        log = PickLog(n, self.deadline, debug)
+        log = PickLog(n, self.deadline)
         picked, costs, pick_for = log.picked, log.costs, log.pick_for
         forest_parent = log.forest_parent
         head_scans = 0
@@ -134,38 +134,39 @@ class GgstSolver:
             j = path_index[u]
 
             if j >= 0:
-                # contract the path suffix from u through the head
+                # contract the path suffix from u through the head; every
+                # member's pick gets the next pick as parent (one shared int)
                 members = path[j:]
                 del path[j:]
+                nxt = i + 1
                 for r in members:
                     path_index[r] = -1
-                    if pc := costs[pick_for[r]]:
-                        cdsu.add_offset(r, -pc)
+                    p = pick_for[r]
+                    forest_parent[p] = nxt
+                    shift[r] -= costs[p]
+                    if front[r] >= 0:  # now a self-loop
+                        af.delete(r)
                 if debug:
                     for r in members:
                         e2 = picked[pick_for[r]]
                         assert w[e2] + cdsu.offset(tgt[e2]) == 0, \
                             "cycle edge cost not zeroed"
-                for r in members:
-                    if front[r] >= 0:
-                        af.delete(r)
-                merged = members[0]
-                for r in members[1:]:
-                    a = merged
-                    merged = cdsu.join(a, r)
-                    af.merge_front(a, r)
+                merged = cdsu.join(members)
+                af.merge(members, merged)
                 entries = []
                 for r in reversed(members):
                     if filed[r]:
                         entries += passive.pop(r)
                     else:  # edges from inside would only be skipped
-                        entries += [e for e in in_adj[r]
-                                    if parent[org[e]] != merged]
+                        for e in in_adj[r]:
+                            if parent[org[e]] != merged:
+                                entries.append(e)
                 if entries:  # skips fill's set-up on the many empty folds
                     af.fill(merged, entries, passive, covered)
                 filed[merged] = 1
                 passive[merged] = []
-                log.contract(members, merged)
+                if debug:
+                    log.next_head = merged
                 path.append(merged)
                 path_index[merged] = len(path) - 1
             elif not covered[u]:

@@ -231,9 +231,13 @@ def parse_plain_edge_list(text: str) -> Graph:
         us.append(labels[parts[0]])
         vs.append(labels[parts[1]])
     values = sorted(set(labels.values()))
+    del labels, label
     dense = dict(zip(values, range(len(values))))
-    return Graph(len(values), 0, list(map(dense.__getitem__, us)),
-                 list(map(dense.__getitem__, vs)), [0] * len(us))
+    del values
+    # each label column is freed as its renumbered one is built
+    us = list(map(dense.__getitem__, us))
+    vs = list(map(dense.__getitem__, vs))
+    return Graph(len(dense), 0, us, vs, [0] * len(us))
 
 
 # SplitMix64's rule: the state increment, the finalizer's multipliers and

@@ -2,7 +2,7 @@
 
 One queue object holds the incoming edges of every super-vertex of a solve,
 slot v for representative v. All three are built whole as ``cls(graph,
-rep)``, where ``rep`` is the solver's ContractionDSU ``parent`` list, still
+rep)``, where ``rep`` is the solver's PlainDSU ``parent`` list, still
 the identity; after it come extract_min(v), add_constant(v, delta) and
 merge(a, b). The caller merges right after joining a's and b's DSU sets:
 b's edges fold into a's, the union lands in slot ``rep[a]`` and the other

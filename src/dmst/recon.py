@@ -1,20 +1,21 @@
 """The picked-edge log both solvers write, and reconstruction from it.
 
 The log is the solve's trace. It owns no DSU, queue or cost shift, and it
-has no per-pick method: a solver appends each pick to the log's columns
-itself and reads a cycle member's pick and its cost back from them. The
-picks form a forest: right after a contraction a solver picks into the
-merged super-vertex, and that pick becomes the parent of every cycle
-member's pick. Walking the picks newest to oldest, every undeleted
-pick is a forest root and belongs to the answer; committing to it deletes
-the chain of earlier picks it supersedes, from the leaf of its original
-target upward.
+has no per-pick or per-contraction method: a solver appends each pick to
+the log's columns itself, reads a cycle member's pick and its cost back
+from them, and sets the member's pick's forest parent there. The picks
+form a forest: right after a contraction a solver picks into the merged
+super-vertex, and that pick becomes the parent of every cycle member's
+pick. Walking the picks newest to oldest, every undeleted pick is a forest
+root and belongs to the answer; committing to it deletes the chain of
+earlier picks it supersedes, from the leaf of its original target upward.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import eq
 from typing import Optional
 
 from .errors import SolveTimeout
@@ -37,50 +38,37 @@ class PickLog:
     """One solve's picks, contractions and deadline. A solver appends each
     pick to the columns itself, after a poll every 512 picks and, in debug,
     ``check_head``. When picks close a cycle, it shifts each member's costs
-    by its pick's cost, joins the members, calls ``contract`` and picks
-    next into the merged vertex."""
+    by its pick's cost, joins the members, makes the next pick their picks'
+    ``forest_parent`` and picks next into the merged vertex, ``next_head``."""
 
-    def __init__(self, n: int, deadline: Optional[float], debug: bool):
+    def __init__(self, n: int, deadline: Optional[float]):
         self.n = n
         self.deadline = deadline
-        self.debug = debug
         self.picked: list[int] = []
         self.costs: list[int] = []
         self.forest_parent: list[int] = []
         self.pick_for = [-1] * n  # per representative: its pick's index
         self.next_head = -1  # debug only: the vertex the next pick must enter
-        self.contractions = 0
-        self.cycle_len_sum = 0
 
     def poll(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolveTimeout
 
     def check_head(self, head: int) -> None:
-        """Debug only: the pick after ``contract`` enters the merged vertex."""
+        """Debug only: the pick after a contraction enters ``next_head``."""
         if self.next_head >= 0 and head != self.next_head:
             raise AssertionError("pick skipped the merged vertex")
         self.next_head = -1
-
-    def contract(self, members: list[int], merged: int) -> None:
-        """The shifted cycle is now joined into ``merged``; the members'
-        picks become children of the next pick, which enters merged."""
-        self.contractions += 1
-        self.cycle_len_sum += len(members)
-        fp, pick_for, nxt = self.forest_parent, self.pick_for, len(self.picked)
-        for rep in members:
-            fp[pick_for[rep]] = nxt
-        if self.debug:
-            self.next_head = merged
 
     def result(self, counters: dict) -> SolveResult:
         """The finished log, with the solver's own ``counters`` added."""
         if len(self.picked) > 2 * self.n:
             raise AssertionError("picked more than 2n edges")
-        return SolveResult(sum(self.costs), self.picked, self.forest_parent, {
+        fp = self.forest_parent  # only a cycle's closing pick i has parent i+1
+        return SolveResult(sum(self.costs), self.picked, fp, {
             "picks": len(self.picked),
-            "contractions": self.contractions,
-            "summed_cycle_length": self.cycle_len_sum,
+            "contractions": sum(map(eq, fp, range(1, len(fp) + 1))),
+            "summed_cycle_length": len(fp) - fp.count(-1),
             **counters,
         })
 
@@ -150,9 +138,7 @@ def is_arborescence(graph: Graph, edge_ids) -> bool:
     for eid in ids:
         indeg[tgt[eid]] += 1
         adj[org[eid]].append(tgt[eid])
-    if indeg[root] != 0:
-        return False
-    if any(indeg[v] != 1 for v in range(n) if v != root):
+    if indeg[root] or any(indeg[v] != 1 for v in range(n) if v != root):
         return False
     seen = [False] * n
     seen[root] = True

@@ -51,7 +51,7 @@ class TarjanSolver:
         queues = self.queues
         extract_min = queues.extract_min
         debug = self.debug
-        log = PickLog(n, self.deadline, debug)
+        log = PickLog(n, self.deadline)
         picked, costs, pick_for = log.picked, log.costs, log.pick_for
         forest_parent = log.forest_parent
         skips = 0  # self-loops discarded, polled like picks
@@ -88,15 +88,19 @@ class TarjanSolver:
             while cur != v:
                 members.append(cur)
                 cur = parent[org[picked[pick_for[cur]]]]
+            nxt = i + 1  # every member pick's parent, one shared int object
             for rep in members:
-                if pc := costs[pick_for[rep]]:
+                p = pick_for[rep]
+                forest_parent[p] = nxt
+                if pc := costs[p]:
                     queues.add_constant(rep, -pc)
             merged = members[0]
             for rep in members[1:]:
                 joined = cdsu.join(merged, rep)
                 queues.merge(merged, rep)
                 merged = joined
-            log.contract(members, merged)
+            if debug:
+                log.next_head = merged
             stack.append(merged)
 
         visits = cdsu.counters()["dsu_visits"] + wdsu.counters()["dsu_visits"]

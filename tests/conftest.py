@@ -165,8 +165,8 @@ class ScanForest:
         self.eid[origin] = -1
         self.deletes += 1
 
-    def merge_front(self, a: int, b: int) -> None:
-        self.merges += 1
+    def merge(self, members: list[int], merged: int) -> None:
+        self.merges += len(members) - 1
 
     def query_min(self, head: int):
         self.queries += 1
@@ -190,9 +190,9 @@ def eager_ggst(graph: Graph, debug: bool = False):
     same picks, forest parents and weight; its counters differ."""
     solver = GgstSolver(graph, debug=debug)
     n = graph.n
-    cdsu, af, log = solver.cdsu, solver.af, PickLog(n, None, debug)
+    cdsu, af, log = solver.cdsu, solver.af, PickLog(n, None)
     picked, costs, pick_for = log.picked, log.costs, log.pick_for
-    parent, front = cdsu.parent, af.eid
+    parent, shift, front = cdsu.parent, cdsu.shift, af.eid
     org = graph.org
     in_adj, passive, covered = solver.in_adj, solver.passive, solver.covered
     path: list[int] = []
@@ -235,24 +235,23 @@ def eager_ggst(graph: Graph, debug: bool = False):
         if j >= 0:
             members = path[j:]
             del path[j:]
+            nxt = i + 1
             for r in members:
                 path_index[r] = -1
-                if pc := costs[pick_for[r]]:
-                    cdsu.add_offset(r, -pc)
-            for r in members:
+                p = pick_for[r]
+                log.forest_parent[p] = nxt
+                shift[r] -= costs[p]
                 if front[r] >= 0:
                     af.delete(r)
-            merged = members[0]
-            for r in members[1:]:
-                a = merged
-                merged = cdsu.join(a, r)
-                af.merge_front(a, r)
+            merged = cdsu.join(members)
+            af.merge(members, merged)
             entries = []
             for r in reversed(members):
                 entries += passive.pop(r)
             af.fill(merged, entries, passive, covered)
             passive[merged] = []
-            log.contract(members, merged)
+            if debug:
+                log.next_head = merged
             path.append(merged)
             path_index[merged] = len(path) - 1
         elif not covered[u]:

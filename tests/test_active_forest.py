@@ -216,7 +216,16 @@ def test_delete_root_surfaces_both_children():
     assert rig.af.query_min(h) == (eids[1], 5)
 
 
-def test_merge_front_folds_second_into_head():
+def join_and_merge(rig: Rig, members: list[int]) -> int:
+    """A contraction's join and merge of members, which ggst calls right
+    after each other; the merged vertex takes the newest member's place."""
+    m = rig.cdsu.join(members)
+    rig.af.merge(members, m)
+    rig.pos[m] = max(rig.pos[r] for r in members)
+    return m
+
+
+def test_merge_folds_second_into_head():
     rig = Rig()
     a = rig.extend()
     b = rig.extend()
@@ -224,27 +233,24 @@ def test_merge_front_folds_second_into_head():
     rig.file(e0)
     e1 = rig.add_edge(6, b, 5)
     rig.file(e1)
-    m = rig.cdsu.join(b, a)
-    rig.af.merge_front(b, a)
-    rig.pos[m] = rig.pos[b]
+    m = join_and_merge(rig, [b, a])
+    assert m == b
     assert rig.af.query_min(m) == (e0, 3)
     rig.af.check_invariants(rig.pos)
 
 
-def test_merge_front_with_empty_side():
+def test_merge_with_empty_side():
     rig = Rig()
     a = rig.extend()
     b = rig.extend()
     e0 = rig.add_edge(5, a, 3)
     rig.file(e0)
-    m = rig.cdsu.join(b, a)
-    rig.af.merge_front(b, a)
-    rig.pos[m] = rig.pos[b]
+    m = join_and_merge(rig, [b, a])
     assert rig.af.stale[m] == 0           # the side's flag is kept
     assert rig.af.query_min(m) == (e0, 3)
 
 
-def test_merge_front_with_empty_side_keeps_a_stale_flag():
+def test_merge_with_empty_side_keeps_a_stale_flag():
     rig = Rig()
     a = rig.extend()
     b = rig.extend()
@@ -252,10 +258,49 @@ def test_merge_front_with_empty_side_keeps_a_stale_flag():
         add_front(rig, o, a, c)
     rig.af.delete(3)
     del rig.active[3]
-    m = rig.cdsu.join(b, a)
-    rig.af.merge_front(b, a)
-    rig.pos[m] = rig.pos[b]
+    m = join_and_merge(rig, [b, a])
     assert_query_consolidates(rig, m)
+
+
+@pytest.mark.parametrize("kinds, stale", [
+    (("empty", "fresh", "empty"), 0),
+    (("empty", "stale", "empty"), 1),
+    (("fresh", "empty", "fresh"), 1),
+    (("empty", "fresh", "stale", "empty", "fresh"), 1),
+    (("empty", "empty", "empty"), 0),
+])
+def test_merge_of_many_members_flags_the_merged_heap(kinds, stale):
+    # one merge splices every non-empty root list; the merged heap is
+    # stale when two or more were non-empty, and otherwise keeps the one
+    # side's flag
+    rig = Rig()
+    members = [rig.extend() for _ in kinds]
+    origin = iter(range(20, 64))
+    for r, kind in zip(members, kinds):
+        if kind == "fresh":
+            for c in (4, 6):
+                add_front(rig, next(origin), r, c + r)
+        elif kind == "stale":  # its entry unhooked, as above
+            origins = [next(origin) for _ in range(3)]
+            for o, c in zip(origins, (1, 5, 2)):
+                add_front(rig, o, r, c)
+            rig.af.delete(origins[0])
+            del rig.active[origins[0]]
+        assert rig.af.stale[r] == (kind == "stale")
+    m = join_and_merge(rig, members)
+    af = rig.af
+    assert m == members[0] and af.merges == len(members) - 1
+    assert all(af.root_ring[r] == -1 for r in members if r != m)
+    assert sorted(rig.ring(af.root_ring[m])) == sorted(rig.active)
+    assert af.stale[m] == stale
+    if stale:
+        assert_query_consolidates(rig, m)
+    elif rig.active:
+        af.check_invariants(rig.pos)
+        assert af.query_min(m) == rig.scan_min(m)
+        assert af.roots == 0              # a fresh heap answers unlinked
+    else:
+        assert af.root_ring[m] == -1 and af.query_min(m) is None
 
 
 def test_query_empty_heap_is_none():
@@ -398,9 +443,7 @@ def test_merging_two_nonempty_heaps_makes_the_merged_heap_stale():
     add_front(rig, 7, b, 5)
     add_front(rig, 8, b, 7)
     assert rig.af.stale[a] == rig.af.stale[b] == 0
-    m = rig.cdsu.join(b, a)
-    rig.af.merge_front(b, a)
-    rig.pos[m] = rig.pos[b]
+    m = join_and_merge(rig, [b, a])
     assert_query_consolidates(rig, m)
     assert rig.af.query_min(m) == (best, 3)
 
@@ -625,10 +668,8 @@ def test_fill_reads_each_cost_with_its_targets_offset():
     a = rig.extend()
     b = rig.extend()
     add_front(rig, 3, a, 5)
-    rig.cdsu.add_offset(a, -4)            # origin 3's front now costs 1
-    m = rig.cdsu.join(b, a)
-    rig.af.merge_front(b, a)
-    rig.pos[m] = rig.pos[b]
+    rig.cdsu.shift[a] -= 4                # origin 3's front now costs 1
+    m = join_and_merge(rig, [b, a])
     af = rig.af
     assert m == b and af.stale[m] == 0
     e3 = rig.add_edge(3, b, 2)            # dearer than 3's front
@@ -688,14 +729,13 @@ def run_af_sequence(seed: int, nops: int, check_every_op: bool = True) -> None:
                 del rig.active[o]
         elif roll < 0.80:
             if len(rig.path) >= 2:
-                a, b = rig.path[-1], rig.path[-2]
-                m = rig.cdsu.join(a, b)
-                rig.af.merge_front(a, b)
-                rig.path[-2:] = [m]
-                rig.pos[m] = max(rig.pos[a], rig.pos[b])
+                # a contraction of the path's last two to four vertices
+                k = rng.randint(2, min(4, len(rig.path)))
+                members = rig.path[-k:]
+                rig.path[-k:] = [join_and_merge(rig, members)]
         elif roll < 0.90:
             r = rng.choice(rig.path)
-            rig.cdsu.add_offset(r, rng.randint(-10, 10))
+            rig.cdsu.shift[r] += rng.randint(-10, 10)
         else:
             head = rig.path[-1]
             assert rig.af.query_min(head) == rig.scan_min(head)

@@ -437,8 +437,16 @@ def test_bench_exec_dominates_on_antilemon(tmp_path, capsys):
     p = tmp_path / "anti.txt"
     p.write_text(serialize(gen_antilemon(k)))
     out = tmp_path / "bench.csv"
-    assert run_cli(["bench", "--algos", "tarjan-sil", "--in", str(p),
-                    "--csv", str(out)]) == 0
+    # teardown's full collection would also walk this test process's own
+    # heap (every collected test module, hypothesis, networkx), about
+    # 30 ms, as long as exec; frozen, it walks what the solve left, as in
+    # a `dmst bench` process
+    gc.freeze()
+    try:
+        assert run_cli(["bench", "--algos", "tarjan-sil", "--in", str(p),
+                        "--csv", str(out)]) == 0
+    finally:
+        gc.unfreeze()
     capsys.readouterr()
     row = read_rows(out)[1]
     init_ms, exec_ms, recon_ms, teardown_ms = map(float, row[5:9])

@@ -37,42 +37,74 @@ def test_plain_single_set_after_n_minus_1_joins():
 
 
 def test_offset_singleton():
-    # an edge of weight 10 into vertex 1
+    # an edge of weight 10 into vertex 1; ggst shifts a set by writing
+    # its representative's shift
     d = ContractionDSU(2)
     assert 10 + d.offset(1) == 10
-    d.add_offset(1, 0)
+    d.shift[1] += 0
     assert 10 + d.offset(1) == 10
-    d.add_offset(1, -3)
+    d.shift[1] -= 3
     assert 10 + d.offset(1) == 7
 
 
 def test_offset_survives_join_with_fresh_set():
     # offsets applied before a join must not leak into the fresh set
     d = ContractionDSU(3)
-    d.add_offset(0, -1)
-    d.add_offset(0, -1)
-    r = d.join(0, 1)
+    d.shift[0] -= 1
+    d.shift[0] -= 1
+    r = d.join([0, 1])
     # edges of weight 10 into the old set's vertex 0 and the fresh vertex 1
     assert 10 + d.offset(0) == 8
     assert 10 + d.offset(1) == 10
-    d.add_offset(r, -5)
+    d.shift[r] -= 5
     assert 10 + d.offset(0) == 3
     assert 10 + d.offset(1) == 5
 
 
-def test_add_offset_rejects_non_representative():
-    d = ContractionDSU(2)
-    r = d.join(0, 1)
+def test_join_rejects_a_non_representative():
+    d = ContractionDSU(3)
+    r = d.join([0, 1])
     loser = 1 - r
-    with pytest.raises(ValueError, match="representative"):
-        d.add_offset(loser, -1)
+    before = _state(d)
+    for members in ([loser, 2], [2, loser]):
+        with pytest.raises(ValueError, match="representative"):
+            d.join(members)
+        assert _state(d) == before
+
+
+def test_join_keeps_the_first_of_the_largest_and_every_offset():
+    # sets {0}, {1, 2, 3}, {4, 5} and {6, 7, 8}, each shifted, joined with
+    # a smaller set first: the first of the two size-3 sets survives
+    d = ContractionDSU(10)
+    a, b, c, e = d.join([0]), d.join([1, 2, 3]), d.join([4, 5]), \
+        d.join([6, 7, 8])
+    assert (a, b, c, e) == (0, 1, 4, 6)
+    for r, delta in ((a, -2), (b, 5), (c, -7), (e, 3)):
+        d.shift[r] += delta
+    d.off[5] += 1                 # a member off its representative's value
+    offsets = [d.offset(v) for v in range(10)]
+    visits = d.visits
+    assert d.join([a, b, c, e]) == b
+    assert [d.offset(v) for v in range(10)] == offsets
+    assert d.visits - visits == 1 + 2 + 3     # the non-survivors' sizes
+    assert d.size[b] == 9 and set(d.parent[:9]) == {b} and d.parent[9] == 9
+    ring, v = [b], d.nxt[b]
+    while v != b:
+        ring.append(v)
+        v = d.nxt[v]
+    assert sorted(ring) == list(range(9))
+    _assert_frame(d)
+    # a tie among singletons keeps the first, as in path order
+    assert d.join([9, b]) == b
+    d2 = ContractionDSU(3)
+    assert d2.join([2, 0, 1]) == 2 and d2.visits == 2
 
 
 def test_offset_idempotent_after_joins():
     d = ContractionDSU(8)
     for v in range(7):
-        d.join(v, v + 1)
-    d.add_offset(d.find(0), -4)
+        d.join([d.find(v), d.find(v + 1)])
+    d.shift[d.find(0)] -= 4
     first = d.offset(7)
     assert first == -4 and d.offset(7) == first
     assert d.find(d.find(7)) == d.find(7)
@@ -97,18 +129,19 @@ def test_offsets_against_shadow_oracle():
     for _ in range(10_000):
         op = rng.randrange(3)
         if op == 0:
-            a, b = rng.randrange(n), rng.randrange(n)
-            ra, rb = d.find(a), d.find(b)
-            r = d.join(a, b)
-            if ra != rb:
-                loser = ra if r == rb else rb
-                members[r] = members[r] + members[loser]
-                del members[loser]
-            assert r == d.find(a) == d.find(b)
+            reps = rng.sample(sorted(members), min(len(members),
+                                                   rng.randint(1, 4)))
+            r = d.join(reps)
+            assert r == max(reps, key=lambda x: (len(members[x]),
+                                                 -reps.index(x)))
+            for x in reps:
+                if x != r:
+                    members[r] = members[r] + members.pop(x)
+            assert all(d.find(v) == r for v in members[r])
         elif op == 1:
             r = rng.choice(list(members))
             delta = rng.randint(-30, 30)
-            d.add_offset(r, delta)
+            d.shift[r] += delta
             for v in members[r]:
                 shadow[v] += delta
         else:
@@ -136,13 +169,13 @@ def test_sets_stay_flat_and_finds_keep_state():
         op = rng.randrange(4)
         if op == 0:
             a, b = rng.randrange(n), rng.randrange(n)
-            d.join(a, b)
+            join2(d, a, b)
             la, lb = label[a], label[b]
             label = [la if x == lb else x for x in label]
         elif op == 1:
             v = rng.randrange(n)
             delta = rng.randint(-20, 20)
-            d.add_offset(d.find(v), delta)
+            d.shift[d.find(v)] += delta
             lv = label[v]
             for x in range(n):
                 if label[x] == lv:
@@ -161,6 +194,17 @@ def test_sets_stay_flat_and_finds_keep_state():
         _assert_frame(d)
 
 
+def join2(d, a: int, b: int) -> None:
+    """Join a's and b's sets: PlainDSU's join of two vertices, or
+    ContractionDSU's join of their distinct representatives."""
+    if isinstance(d, ContractionDSU):
+        ra, rb = d.find(a), d.find(b)
+        if ra != rb:
+            d.join([ra, rb])
+    else:
+        d.join(a, b)
+
+
 @pytest.mark.parametrize("cls", [PlainDSU, ContractionDSU])
 def test_join_relabels_at_most_n_log_n(cls):
     # balanced pairwise merges: every round relabels half of all vertices
@@ -169,7 +213,7 @@ def test_join_relabels_at_most_n_log_n(cls):
     step = 1
     while step < n:
         for v in range(0, n, 2 * step):
-            d.join(v, v + step)
+            join2(d, v, v + step)
         step *= 2
     assert d.visits == (n // 2) * 14
     assert d.counters() == {"dsu_visits": (n // 2) * 14}
@@ -179,7 +223,7 @@ def test_join_relabels_at_most_n_log_n(cls):
     n = 100_000
     d = cls(n)
     for _ in range(2 * n):
-        d.join(rng.randrange(n), rng.randrange(n))
+        join2(d, rng.randrange(n), rng.randrange(n))
     assert d.visits <= n * math.log2(n)
     d.visits = 0
     for _ in range(1000):

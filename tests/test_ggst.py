@@ -102,15 +102,41 @@ def test_post_join_fold_matches_scan_forest():
     assert r.counters["contractions"] == 3
 
 
+def test_later_survivor_with_two_heaps_matches_scan_forest():
+    # the fourth contraction's members have sets of sizes 2, 1, 3, 1 and
+    # 1, so the third member survives (pairwise joins in path order kept
+    # the first), and the merge splices two non-empty root lists into its
+    # heap
+    g = gen_er_rooted(14, 56, 3, 89)
+    solver = GgstSolver(g, debug=True)
+    merge, root_ring = solver.af.merge, solver.af.root_ring
+    merges = []
+
+    def spying(members, merged):
+        merges.append((members.index(merged),
+                       sum(root_ring[r] >= 0 for r in members)))
+        merge(members, merged)
+
+    solver.af.merge = spying
+    r = solver.run()
+    ref = scan_ggst(g)
+    assert merges[3] == (2, 2)
+    want = tarjan_solve(g, "sil").total_weight
+    assert r.total_weight == ref.total_weight == want == 16
+    assert r.picked == ref.picked
+    assert r.forest_parent == ref.forest_parent
+    assert shape_free(r.counters) == ref.counters
+
+
 @pytest.mark.parametrize("prep", ["shift", "join"])
 def test_debug_check_wants_a_new_head_uncontracted_and_unshifted(prep):
     # vertex 1, the first head, joins the path fresh
     solver = GgstSolver(gen_er_rooted(6, 18, 2, 5), debug=True)
     cdsu = solver.cdsu
     if prep == "shift":
-        cdsu.add_offset(1, 3)
+        cdsu.shift[1] += 3
     else:
-        cdsu.join(1, 2)
+        cdsu.join([1, 2])
     with pytest.raises(AssertionError, match="uncontracted singleton"):
         solver.run()
 
@@ -274,21 +300,24 @@ def _digest(xs: list[int]) -> str:
      (47397, "e3d508e6b88b22bd", "b139e3347cf2c7b8",
       {"picks": 2008, "contractions": 9, "summed_cycle_length": 158,
        "af_queries": 9, "af_deletes": 27, "af_merges": 149,
-       "dsu_visits": 229, "head_scans": 1999, "af_roots": 44,
+       "dsu_visits": 183, "head_scans": 1999, "af_roots": 44,
        "af_splices": 35}), (False,)),
     (lambda: gen_er_rooted(300, 2400, 2, 5),
      (301, "872a13aa6aea4ca6", "7e3c5ca63406ddca",
       {"picks": 316, "contractions": 17, "summed_cycle_length": 97,
        "af_queries": 17, "af_deletes": 48, "af_merges": 80,
-       "dsu_visits": 110, "head_scans": 299, "af_roots": 89,
+       "dsu_visits": 99, "head_scans": 299, "af_roots": 89,
        "af_splices": 70}), (False, True)),
 ], ids=["antilemon-300", "er-2000-8000", "er-300-2400-ties"])
 def test_golden_trace_and_counters(make, want, debug_modes):
     # the trace and every counter on fixed instances: a change to the
     # forest or the DSU must pick the same edges in the same order and do
-    # the same work. Weights 1..2 in er-300-2400-ties pin the one tie rule,
-    # the smaller edge id on equal cost, in a fresh head's scan and in the
-    # fold. A fresh head's pick is a scan and a filed head's a forest query.
+    # the same work. A contraction joins all its members into the first
+    # of the largest at once, so dsu_visits counts the other members'
+    # sizes (pairwise joins in path order read 229 and 110 here). Weights
+    # 1..2 in er-300-2400-ties pin the one tie rule, the smaller edge id on
+    # equal cost, in a fresh head's scan and in the fold. A fresh head's
+    # pick is a scan and a filed head's a forest query.
     # er-2000-8000 skips debug mode, whose full-forest walk per pick takes
     # seconds there.
     weight, picked, parents, counters = want

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import random_instance
-from dmst import ContractionDSU, Graph, LazyHeapQueue, MatrixQueue, SilQueue
+from dmst import Graph, LazyHeapQueue, MatrixQueue, PlainDSU, SilQueue
 from dmst.queues import EMPTY
 
 QUEUES = {"matrix": MatrixQueue, "heap": LazyHeapQueue, "sil": SilQueue}
@@ -91,7 +91,7 @@ def test_matrix_merge_takes_elementwise_min():
 
 def test_matrix_merge_respects_resolver():
     # two origins collapsed by a DSU join dedup on merge
-    d = ContractionDSU(5)
+    d = PlainDSU(5)
     q = make_queue("matrix", 5, [(0, 2, 5), (1, 3, 3)], d.parent)
     d.join(0, 1)
     survivor = d.join(2, 3)
@@ -142,7 +142,7 @@ def test_merge_with_empty_is_identity(kind):
 def test_merge_lands_in_surviving_slot(kind):
     # slot 1's DSU set is larger, so joining 0 into it keeps 1 as the
     # representative; the union must land there and slot 0 be emptied
-    d = ContractionDSU(7)
+    d = PlainDSU(7)
     q = make_queue(kind, 7, [(4, 0, 3), (5, 1, 7)], d.parent)
     d.join(1, 2)
     assert d.join(0, 1) == 1
@@ -198,7 +198,7 @@ def _run_sequence(seed, nops=30):
     tgt = [cap + rng.randrange(3) for _ in range(k)]
     g = Graph(cap + 3, 0, list(range(k)), tgt,
               [rng.randint(-100, 100) for _ in range(k)])
-    d = ContractionDSU(cap + 3)
+    d = PlainDSU(cap + 3)
     queues = {kind: cls(g, d.parent) for kind, cls in QUEUES.items()}
     model = {cap + j: {} for j in range(3)}
     for e, (v, c) in enumerate(zip(tgt, g.w)):
@@ -252,7 +252,7 @@ def test_load_drains_like_per_edge_inserts(kind):
     rng = random.Random(9)
     for _ in range(300):
         g = random_instance(rng, 12, 60, -3, 3)
-        d = ContractionDSU(g.n)
+        d = PlainDSU(g.n)
         q = QUEUES[kind](g, d.parent)
 
         def cell(e):

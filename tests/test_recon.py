@@ -8,7 +8,9 @@ from conftest import SOLVERS, random_instance
 from dmst import (Graph, Infeasible, SolveTimeout, brute_force, build_leaf_map,
                   gen_antilemon, ggst_solve, is_arborescence, reconstruct,
                   tarjan_solve)
+from dmst import ggst as ggst_mod
 from dmst import recon
+from dmst import tarjan as tarjan_mod
 from dmst.recon import PickLog
 from dmst.tarjan import SolveResult
 
@@ -136,46 +138,84 @@ def test_visits_stay_linear_in_picked():
 
 def record(log: PickLog, head: int, eid: int, cost: int) -> None:
     """One pick written into the log's columns as both solvers' loops
-    write it, the debug check first."""
-    if log.debug:
-        log.check_head(head)
+    write it in debug mode, the check first."""
+    log.check_head(head)
     log.pick_for[head] = len(log.picked)
     log.picked.append(eid)
     log.costs.append(cost)
     log.forest_parent.append(-1)
 
 
+def contract(log: PickLog, members: list[int], merged: int) -> None:
+    """One contraction written into the log as both solvers' loops write
+    it in debug mode: the members' picks become children of the next pick,
+    and the next pick must enter merged."""
+    for r in members:
+        log.forest_parent[log.pick_for[r]] = len(log.picked)
+    log.next_head = merged
+
+
 def test_pick_after_contract_must_enter_merged_vertex():
-    # contract makes the members' picks children of the next pick, so that
-    # pick has to enter the merged vertex; debug mode enforces the rule
-    log = PickLog(3, None, debug=True)
+    # a contraction makes the members' picks children of the next pick, so
+    # that pick has to enter the merged vertex; debug mode enforces the rule
+    log = PickLog(3, None)
     record(log, 1, 0, 4)
     record(log, 2, 1, 5)
-    log.contract([1, 2], 1)
+    contract(log, [1, 2], 1)
     with pytest.raises(AssertionError, match="merged vertex"):
         record(log, 0, 2, 0)
 
-    log = PickLog(3, None, debug=True)
+    log = PickLog(3, None)
     record(log, 1, 0, 4)
     record(log, 2, 1, 5)
-    log.contract([1, 2], 2)
+    contract(log, [1, 2], 2)
     record(log, 2, 2, 0)
     record(log, 0, 3, 1)  # the rule holds for one pick only
     assert log.forest_parent == [2, 2, -1, -1]
+    c = log.result({}).counters
+    assert (c["contractions"], c["summed_cycle_length"]) == (1, 2)
+
+
+def test_result_counts_contractions_from_the_forest_parents():
+    # each cycle's member picks, and only theirs, share the next pick as
+    # parent, so the log counts contractions and their summed length from
+    # forest_parent; here the second cycle holds the first one's pick
+    log = PickLog(4, None)
+    record(log, 1, 0, 4)
+    record(log, 2, 1, 5)
+    contract(log, [1, 2], 2)
+    record(log, 2, 2, 0)
+    record(log, 3, 3, 1)
+    contract(log, [2, 3], 3)
+    record(log, 3, 4, 0)
+    assert log.forest_parent == [2, 2, 4, 4, -1]
+    counters = log.result({"x": 7}).counters
+    assert counters == {"picks": 5, "contractions": 2,
+                        "summed_cycle_length": 4, "x": 7}
+    assert PickLog(1, None).result({}).counters["contractions"] == 0
+
+
+class MisdirectedLog(PickLog):
+    """A log whose ``next_head`` names the vertex after the one a solver
+    writes there, so the pick after a contraction breaks the rule."""
+
+    @property
+    def next_head(self) -> int:
+        return self._next_head
+
+    @next_head.setter
+    def next_head(self, v: int) -> None:
+        self._next_head = v if v < 0 else (v + 1) % self.n
 
 
 @pytest.mark.parametrize("config", sorted(SOLVERS))
 def test_solver_loop_checks_the_merged_vertex(config, g_cyc, monkeypatch):
-    # contract is told of a vertex other than the merged one, so the
-    # solver's next pick, which enters the merged vertex, breaks the rule;
-    # the check runs in the solver's own loop, and only in debug
-    contract = PickLog.contract
-
-    def misdirected(self, members, merged):
-        contract(self, members, (merged + 1) % self.n)
-
+    # the loop records a contraction's merged vertex in a log that misnames
+    # it, so the solver's next pick, which enters the merged vertex, breaks
+    # the rule; the check runs in the solver's own loop, and only in debug
     want = SOLVERS[config](g_cyc)
-    monkeypatch.setattr(PickLog, "contract", misdirected)
+    module = ggst_mod if config == "ggst" else tarjan_mod
+    monkeypatch.setattr(module, "PickLog", MisdirectedLog)
     with pytest.raises(AssertionError, match="merged vertex"):
         SOLVERS[config](g_cyc, debug=True)
     got = SOLVERS[config](g_cyc)
