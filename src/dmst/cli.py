@@ -81,7 +81,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     pb.add_argument("--in", dest="infiles", nargs="+", required=True)
     pb.add_argument("--reps", type=decimal, default=1)
     pb.add_argument("--timeout", type=seconds, default=None,
-                    help="per-run budget in seconds")
+                    help="per-run budget in seconds, polled in exec only")
     pb.add_argument("--csv", dest="csvfile", required=True)
 
     pg = sub.add_parser("gen", help="write a generated instance")
@@ -108,11 +108,27 @@ def _read_instance(path: str) -> Graph:
     return parse_edge_list(text)
 
 
-def _make_solver(algo: str, graph: Graph, deadline=None):
-    if algo == "ggst":
-        return GgstSolver(graph, deadline=deadline)
-    return TarjanSolver(graph, strategy=algo.split("-", 1)[1],
-                        deadline=deadline)
+def _solve(graph: Graph, algo: str, stamps: list, deadline=None):
+    """Run one solve's phases with the collector off: init, exec, the
+    solver's free, recon. Stamps perf_counter() at the start and as each
+    phase ends; returns (weight, edge ids). A refusal raises ValueError."""
+    gc.disable()
+    try:
+        stamps.append(time.perf_counter())
+        if algo == "ggst":
+            solver = GgstSolver(graph, deadline=deadline)
+        else:  # tarjan-<strategy>
+            solver = TarjanSolver(graph, algo[7:], deadline=deadline)
+        stamps.append(time.perf_counter())
+        result = solver.run()
+        stamps.append(time.perf_counter())
+        del solver  # free its state before reconstruction adds to the peak
+        stamps.append(time.perf_counter())
+        ids = reconstruct(result, build_leaf_map(result, graph), graph)
+        stamps.append(time.perf_counter())
+        return result.total_weight, ids
+    finally:
+        gc.enable()
 
 
 def _cmd_solve(args) -> int:
@@ -130,25 +146,21 @@ def _cmd_solve(args) -> int:
             return 64
         graph = dataclasses.replace(graph, root=args.root)
     try:
-        solver = _make_solver(args.algo, graph)
+        weight, ids = _solve(graph, args.algo, [])
     except ValueError as exc:  # the configuration refuses the instance
         print(f"dmst: {exc}", file=sys.stderr)
         return 64
-    try:
-        result = solver.run()
     except Infeasible:
         print("no arborescence", file=sys.stderr)
         return 2
-    del solver  # free its state before reconstruction adds to the peak
-    ids = reconstruct(result, build_leaf_map(result, graph), graph)
     lines = "".join(f"{eid}\n" for eid in sorted(ids))
     try:
         if args.outfile == "-":
-            print(result.total_weight)
+            print(weight)
             sys.stdout.write(lines)
         else:
             Path(args.outfile).write_text(lines, encoding="ascii")
-            print(result.total_weight)
+            print(weight)
     except OSError as exc:
         print(f"dmst: cannot write {args.outfile}: {exc}", file=sys.stderr)
         return 1
@@ -164,48 +176,33 @@ def _bench_rows(graph: Graph, path: str, algo: str, reps: int, timeout):
     budget = "" if timeout is None else _fmt_ms(timeout)
     timed_out = [path, algo, graph.n, len(graph.w), "",
                  budget, budget, budget, budget, "timeout"]
-    refused = None
     for _ in range(reps):
         if timeout is not None and timeout <= 0:
             yield timed_out
             continue
         deadline = None if timeout is None else time.monotonic() + timeout
-        # no collection lands inside init, exec or recon; teardown collects
-        gc.disable()
+        t, weight, status = [], "", "ok"
         try:
-            t0 = time.perf_counter()
-            try:
-                solver = _make_solver(algo, graph, deadline)
-            except ValueError as exc:  # the configuration refuses the instance
-                refused = exc
-                break
-            t1 = time.perf_counter()
-            weight, status = "", "ok"
-            try:
-                result = solver.run()
-            except SolveTimeout:
-                status = "timeout"
-            except Infeasible:
-                status = "infeasible"
-            t2 = time.perf_counter()
-            if status == "ok":
-                ids = reconstruct(result, build_leaf_map(result, graph), graph)
-                weight = result.total_weight
-            t3 = time.perf_counter()
-        finally:
-            gc.enable()
+            weight = _solve(graph, algo, t, deadline)[0]
+        except ValueError as exc:  # the configuration refuses the instance
+            print(f"dmst: {path}: {exc}", file=sys.stderr)
+            yield [path, algo, graph.n, len(graph.w), "",
+                   "", "", "", "", "error"]
+            return
+        except SolveTimeout:
+            status = "timeout"
+        except Infeasible:
+            status = "infeasible"
+            t.append(time.perf_counter())  # where exec ended
         # the collections deferred while gc was off run here, inside
         # teardown's clock, not at some allocation in a later rep
-        solver = result = ids = None
         gc.collect()
-        t4 = time.perf_counter()
+        end = time.perf_counter()
+        recon = t[4] - t[3] if status == "ok" else 0.0
         yield timed_out if status == "timeout" else [
-            path, algo, graph.n, len(graph.w), weight, _fmt_ms(t1 - t0),
-            _fmt_ms(t2 - t1), _fmt_ms(t3 - t2), _fmt_ms(t4 - t3), status]
-    if refused is not None:
-        print(f"dmst: {path}: {refused}", file=sys.stderr)
-        yield [path, algo, graph.n, len(graph.w), "",
-               "", "", "", "", "error"]
+            path, algo, graph.n, len(graph.w), weight, _fmt_ms(t[1] - t[0]),
+            _fmt_ms(t[2] - t[1]), _fmt_ms(recon), _fmt_ms(end - t[2] - recon),
+            status]
 
 
 def _cmd_bench(args, parser: _Parser) -> int:
@@ -236,14 +233,16 @@ def _cmd_bench(args, parser: _Parser) -> int:
                 graph = _read_instance(path)
             except (OSError, ParseError) as exc:
                 print(f"dmst: {path}: {exc}", file=sys.stderr)
-                for algo in algos:
-                    writer.writerow([path, algo, "", "", "",
-                                     "", "", "", "", "error"])
+                writer.writerows([path, algo, "", "", "", "", "", "", "",
+                                  "error"] for algo in algos)
                 continue
-            for algo in algos:
-                for row in _bench_rows(graph, path, algo,
-                                       args.reps, args.timeout):
-                    writer.writerow(row)
+            gc.freeze()  # so teardown's collection walks only what a rep left
+            try:
+                for algo in algos:
+                    writer.writerows(_bench_rows(graph, path, algo,
+                                                 args.reps, args.timeout))
+            finally:
+                gc.unfreeze()
     return 0
 
 

@@ -254,7 +254,15 @@ def test_bench_teardown_collects_ggst_garbage(monkeypatch):
     assert len(solvers) == 4
 
 
-def test_bench_gc_off_in_init_and_exec_only(monkeypatch):
+def solve_file(tmp_path, graph, algo):
+    """`dmst solve` on graph written to a file; the exit code."""
+    inp = tmp_path / "instance.txt"
+    inp.write_text(serialize(graph))
+    return run_cli(["solve", "--algo", algo, "--in", str(inp), "--out",
+                    str(tmp_path / "ids.txt")])
+
+
+def test_bench_gc_off_in_init_and_exec_only(monkeypatch, tmp_path, capsys):
     seen = []
 
     class Spy(cli.GgstSolver):
@@ -276,10 +284,15 @@ def test_bench_gc_off_in_init_and_exec_only(monkeypatch):
         rows = list(cli._bench_rows(g, "anti.txt", "ggst", 1, timeout))
         assert rows[0][9] == status
         assert gc.isenabled(), status
-    assert seen == [False, False] * 3
+    # `dmst solve` runs the same phases, with no budget
+    for g, code in ((unreachable, 2), (graph, 0)):
+        assert solve_file(tmp_path, g, "ggst") == code
+        assert gc.isenabled(), code
+    capsys.readouterr()
+    assert seen == [False, False] * 5
 
 
-def test_bench_gc_stays_off_through_recon(monkeypatch):
+def test_bench_gc_stays_off_through_recon(monkeypatch, tmp_path, capsys):
     seen = []
 
     def spy(*args, **kwargs):
@@ -293,7 +306,77 @@ def test_bench_gc_stays_off_through_recon(monkeypatch):
                                     None))
         assert [row[9] for row in rows] == ["ok", "ok"]
         assert gc.isenabled(), algo
-    assert seen == [False] * 4
+        assert solve_file(tmp_path, gen_antilemon(50), algo) == 0
+        assert gc.isenabled(), algo
+    capsys.readouterr()
+    assert seen == [False] * 6
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_solver_is_freed_before_recon(command, monkeypatch, tmp_path, capsys):
+    solvers, alive = [], []
+
+    def spy_class(base):
+        class Spy(base):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                solvers.append(weakref.ref(self))
+        return Spy
+
+    def spy(*args, **kwargs):
+        alive.append(solvers[-1]() is not None)
+        return reconstruct(*args, **kwargs)
+
+    reconstruct = cli.reconstruct
+    monkeypatch.setattr(cli, "reconstruct", spy)
+    monkeypatch.setattr(cli, "GgstSolver", spy_class(cli.GgstSolver))
+    monkeypatch.setattr(cli, "TarjanSolver", spy_class(cli.TarjanSolver))
+    graph = gen_antilemon(50)
+    for algo in ("ggst", "tarjan-heap"):
+        if command == "solve":
+            assert solve_file(tmp_path, graph, algo) == 0
+        else:
+            assert [row[9] for row in cli._bench_rows(
+                graph, "anti.txt", algo, 2, None)] == ["ok", "ok"]
+    capsys.readouterr()
+    assert len(solvers) == len(alive) == (2 if command == "solve" else 4)
+    assert not any(alive)
+
+
+def test_bench_teardown_collects_with_the_heap_frozen(monkeypatch, tmp_path,
+                                                      capsys):
+    frozen = []
+
+    def collect(*args, **kwargs):
+        frozen.append(gc.get_freeze_count())
+        return real_collect(*args, **kwargs)
+
+    real_collect = gc.collect
+    monkeypatch.setattr(gc, "collect", collect)
+    good = tmp_path / "anti.txt"
+    good.write_text(serialize(gen_antilemon(50)))
+    big = tmp_path / "big.txt"
+    big.write_text(MATRIX_TOO_BIG)
+    out = str(tmp_path / "bench.csv")
+    # every rep's teardown collects with the heap frozen, and the heap is
+    # thawed on return, also when a refusal row is the last row written
+    assert run_cli(["bench", "--algos", "ggst,tarjan-sil", "--reps", "2",
+                    "--in", str(good), str(big), "--csv", out]) == 0
+    assert run_cli(["bench", "--algos", "tarjan-matrix", "--in", str(big),
+                    "--csv", out]) == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+    assert len(frozen) == 8 and all(frozen)
+
+    class Broken(cli.TarjanSolver):
+        def run(self):
+            raise RuntimeError("broken")
+
+    monkeypatch.setattr(cli, "TarjanSolver", Broken)
+    with pytest.raises(RuntimeError):
+        run_cli(["bench", "--algos", "tarjan-sil", "--in", str(good),
+                 "--csv", out])
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+    capsys.readouterr()
 
 
 def test_bench_records_matrix_refusal_and_goes_on(tmp_path, capsys):
