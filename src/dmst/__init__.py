@@ -3,9 +3,9 @@
 Contraction-based exact solvers for the rooted directed MST problem:
 a classic contract-and-expand solver with three interchangeable
 incoming-edge-set strategies, a growth-path solver after Gabow et al.
-(its active forest has no cascading cuts and sorts each fold's new
-nodes, so it is exact but does not keep their O(n log n + m) bound),
-a shared reconstruction phase, oracles, and instance generators.
+(exact, but without their O(n log n + m) bound; active_forest.py gives
+its forest's rules and the reason), a shared reconstruction phase,
+oracles, and instance generators.
 """
 
 from .active_forest import ActiveForest

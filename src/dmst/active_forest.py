@@ -15,40 +15,19 @@ never touch the forest. A cost is ``w[e] + off[tgt[e]]`` plus the home's
 ``shift``, which every edge in the heap shares, so only query_min's answer
 adds ``shift[head]``. Every comparison orders by ``(cost, eid)``, which is
 unique, so a heap's minimum is a function of its active edges alone,
-whatever the order of its root list or the shapes of its trees.
+whatever the order of its root list or the shapes of its trees. Where a
+key is one int, it is ``cost * m + eid`` with m the edge count and cost
+without the shift, which orders like ``(cost, eid)`` and gives that cost
+back as ``key // m``.
 
 As in a Fibonacci heap, find-min and consolidation are split. query_min on
 a fresh heap returns the entry in constant time. Only a stale heap is
-consolidated, keying each root by one int, ``cost * m + eid`` with m the
-edge count and cost without the shift, which orders like ``(cost, eid)``
-and gives that cost back as ``key // m``; the winner becomes the entry
-and the heap fresh again. fill compares the roots it re-keys and the head
-of the path it hangs with the entry, so a fresh or empty heap ends fresh
-with its minimum as its entry, and a stale heap stays stale. A heap goes
-stale when its entry is unhooked, when delete splices a child into its
-non-empty root list, and when merge joins two or more non-empty root
-lists; each consolidation is paid for by the roots it walks.
-
-fill is the only way an edge enters a heap. ggst calls it at most once
-per contraction, with the merged vertex as home: a path vertex's incoming
-edges are filed at its first contraction, together with the members'
-demoted edges, so an origin's front is its edge into the newest filed
-path vertex it reaches. Per edge fill keeps the smaller ``(cost, eid)``
-of the origin's front and the edge. A root of home whose front is
-replaced is re-keyed where it stays. Every other origin that gets a front
-becomes a new node: one without a front, one whose front entered another
-heap (a moved node, unhooked with its subtree riding along, its riders
-keeping their homes), and a child of home whose front is replaced, cut
-from its parent, which drops a rank, since its new key may precede the
-parent's. After the loop fill keys the new nodes by their final fronts,
-as consolidation does, sorts them once, and hangs them as one path in
-that order, each the last child of the one before, so only the path's
-head enters home's root list. While that head is its heap's only root,
-deleting it returns the next node as the fresh entry, so a heap that one
-fold filled answers query after query without a consolidation.
-There are no marks or cascading cuts: the only structural moves are
-fill's, delete's (children return to their own home heaps), merge's
-root-list concatenation, one per contraction, and consolidation.
+consolidated; the winner becomes the entry and the heap fresh again. A
+heap goes stale when its entry is unhooked, when delete splices a child
+into its non-empty root list, and when merge joins two or more non-empty
+root lists; each consolidation is paid for by the roots it walks. fill is
+the only way an edge enters a heap, and there are no marks or cascading
+cuts: fill, delete, merge and consolidation make the only structural moves.
 
 So the forest does not meet Gabow et al.'s O(n log n + m) bound. Without
 cascading cuts a rank is bounded only by n - 1, not by O(log n), so a
@@ -56,8 +35,7 @@ consolidation is not O(log n) amortized, and its rank buckets are a
 reusable list of length n. fill's sort costs O(k log k) comparisons for k
 new nodes. What holds is exactness: a query's answer is the heap's
 ``(cost, eid)`` minimum whatever the forest's shape, and the counters
-``af_roots`` (roots walked by consolidations) and ``af_splices`` (children
-returned to root lists by delete) count the work no bound covers.
+``af_roots`` and ``af_splices`` count the work no bound covers.
 
 A node's home heap is the heap of its target's representative,
 ``cdsu.parent[target]``. Four invariants, checked by the debug walk:
@@ -111,16 +89,30 @@ class ActiveForest:
     # delete, the hot paths: a shared splice helper costs a call per
     # splice and measured 2-8 % slower per ggst solve.
 
-    def fill(self, home: int, edges, passive: dict[int, list[int]],
-             covered) -> None:
+    def fill(self, home: int, edges, passive: dict[int, list[int]]) -> None:
         """File each edge of edges into home's heap, home being the
-        representative of every target, in one pass: skip an origin inside
-        home, and keep the smaller (cost, eid) of the origin's front and the
-        edge. A replaced front into another heap t goes to passive[t] unless
-        t is covered, and its node moves to home with its subtree; one that
-        enters home keeps its node, cut from its parent if it has one.
-        The new nodes enter as one path in (cost, eid) order, each the
-        last child of the one before, with only its head in the root list."""
+        representative of every target, in one pass. An edge whose origin
+        lies inside home is skipped. Otherwise it becomes the origin's
+        front, its active edge, unless that front also enters home and
+        precedes it in (cost, eid). A replaced front into another heap t
+        is demoted into passive[t] when t has a list there, and dropped
+        otherwise: the caller keeps a list for each heap that a later fill
+        may take edges back from.
+
+        A root of home whose front is replaced is re-keyed in place. Any
+        other origin that gets a front becomes a new node: one without a
+        front, one whose front entered another heap (moved, its subtree
+        riding along, the riders keeping their homes), or a child of home
+        (cut from its parent, which drops a rank, since its new key may
+        precede the parent's). The new nodes, keyed by their final fronts
+        and sorted once, are hung as one path, each the last child of the
+        one before, so only its head enters home's root list. While the
+        head is its heap's only root, deleting it returns the next node as
+        the fresh entry, so a heap that one fold filled answers query after
+        query without a consolidation. The re-keyed roots and the path's
+        head are compared with the entry, so a fresh or empty heap ends
+        fresh with its minimum as its entry, and a stale heap stays
+        stale."""
         rep, off = self.cdsu.parent, self.cdsu.off
         org, tgt, w, front = self.org, self.tgt, self.w, self.eid
         left, right, up, child = self.left, self.right, self.parent, self.child
@@ -146,7 +138,7 @@ class ActiveForest:
                             best, bw = x, c
                         continue
                     # a child is cut: its new key may precede its parent's
-                elif not covered[tf]:
+                elif tf in passive:
                     passive[tf].append(f)
                 # delete's unhook, with the old home tf already read
                 r = right[x]
@@ -289,9 +281,7 @@ class ActiveForest:
 
     def query_min(self, head: int):
         """Minimum-cost active edge into the head's heap, as a tuple
-        (edge id, current cost); None on an empty heap. Constant time on
-        a fresh heap; a stale one is consolidated first. ggst queries a
-        filed head only, a contraction's merged vertex."""
+        (edge id, current cost); None on an empty heap."""
         self.queries += 1
         x = self.root_ring[head]
         if x < 0:

@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import Infeasible, ParseError, SolveTimeout
 from .gen import gen_antilemon, gen_er_rooted
 from .ggst import GgstSolver
-from .graph import Graph, parse_edge_list, serialize
+from .graph import Graph, _line_count, parse_edge_list, serialize
 from .recon import build_leaf_map, reconstruct
 from .tarjan import TarjanSolver
 
@@ -103,7 +103,8 @@ def _read_instance(path: str) -> Graph:
         else:
             text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
-        line = exc.object[:exc.start].count(b"\n") + 1
+        # decode through the bad byte, kept as U+FFFD, so its line counts
+        line = _line_count(exc.object[:exc.start + 1].decode("ascii", "replace"))
         raise ParseError(f"non-ASCII byte, line {line}") from None
     return parse_edge_list(text)
 

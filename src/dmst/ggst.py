@@ -12,24 +12,20 @@ A vertex joins the path fresh: an uncontracted singleton with no shift,
 none of whose incoming edges is in the ActiveForest. A fresh head picks
 by one scan of its incoming edges, self-loops skipped, and a path
 finalized while fresh never touches the forest. A contraction's merged
-vertex is filed, and only a filed head is queried in the forest.
+vertex is filed, and only a filed head is queried in the forest. The
+filed vertices still on the path are exactly the keys of ``passive``:
+``passive[t]`` holds the fronts into t that fill demoted, the only record
+of demoted edges. A covered vertex is never contracted, so finalizing a
+path frees its passive lists, and fill then drops a front into it.
 
 Each origin super-vertex x has at most one active edge, its front
-``af.eid[x]`` in the ActiveForest: its edge into the newest filed path
-vertex it reaches, the cheaper of a parallel pair. A replaced front is
-demoted into ``passive[t]`` of its target t, the only record of demoted
-edges; a vertex gets that list when it is filed. A contraction shifts each
-member's costs in its DSU set's ``shift`` and deletes its own front (its
-edge became a self-loop) in one pass over the members. One ``cdsu.join``
-joins them into the largest, one ``af.merge`` splices their root lists,
-and one ``af.fill`` files into the merged vertex, newest member first,
-each filed member's passive list and each fresh member's incoming edges
-from outside the merged vertex. An edge from an origin outside becomes
-that origin's front when it is smaller in ``(cost, edge id)``, the first
-in the order every layer uses, or when the front enters an older vertex,
-which demotes the front; an entry whose origin lies inside is dropped. A
-covered vertex is never contracted, so finalizing a path frees its passive
-lists and a front into a covered vertex is dropped instead of demoted.
+``af.eid[x]``: its edge into the newest filed path vertex it reaches. A
+contraction shifts each member's costs in its DSU set's ``shift`` and
+deletes its own front (its edge became a self-loop) in one pass over the
+members. One ``cdsu.join`` joins them into the largest, one ``af.merge``
+splices their root lists, and one ``af.fill`` files into the merged
+vertex, newest member first, each filed member's passive list and each
+fresh member's incoming edges from outside the merged vertex.
 """
 
 from __future__ import annotations
@@ -62,11 +58,8 @@ class GgstSolver:
         for eid, v in enumerate(graph.tgt):
             in_adj[v].append(eid)
         self.in_adj = in_adj
-        # a filed vertex's demoted edges; only a contraction's merged
-        # vertex gets a list, so a fresh vertex holds none
+        # demoted edges by filed vertex: a contraction's merged vertex
         self.passive: dict[int, list[int]] = {}
-        # 1 at a contraction's merged vertex: its incoming edges are filed
-        self.filed = bytearray(n)
         # the root and finalized paths; a covered vertex is never contracted,
         # so a finalized path's passive lists are dropped
         self.covered = bytearray(n)
@@ -81,7 +74,7 @@ class GgstSolver:
         af = self.af
         front = af.eid
         org, tgt, w = graph.org, graph.tgt, graph.w
-        in_adj, passive, filed = self.in_adj, self.passive, self.filed
+        in_adj, passive = self.in_adj, self.passive
         debug = self.debug
         log = PickLog(n, self.deadline)
         picked, costs, pick_for = log.picked, log.costs, log.pick_for
@@ -105,7 +98,7 @@ class GgstSolver:
             if debug:
                 self._debug_check(path, path_index)
             head = path[-1]
-            if filed[head]:
+            if head in passive:
                 res = af.query_min(head)
                 if res is None:
                     raise Infeasible
@@ -155,15 +148,14 @@ class GgstSolver:
                 af.merge(members, merged)
                 entries = []
                 for r in reversed(members):
-                    if filed[r]:
+                    if r in passive:
                         entries += passive.pop(r)
                     else:  # edges from inside would only be skipped
                         for e in in_adj[r]:
                             if parent[org[e]] != merged:
                                 entries.append(e)
                 if entries:  # skips fill's set-up on the many empty folds
-                    af.fill(merged, entries, passive, covered)
-                filed[merged] = 1
+                    af.fill(merged, entries, passive)
                 passive[merged] = []
                 if debug:
                     log.next_head = merged
@@ -184,27 +176,25 @@ class GgstSolver:
                            "head_scans": head_scans})
 
     def _debug_check(self, path: list[int], path_index: list[int]) -> None:
-        """A fresh path vertex is an uncontracted singleton with no shift,
-        no forest node homed at it and no passive list. Each filed r's
-        passive entries target r, at most one per origin; an origin not
-        past r on the path has its front past r. Entries from origins
-        past r are left for a later fold to drop."""
+        """A fresh path vertex, one without a passive list, is an
+        uncontracted singleton with no shift and no forest node homed at
+        it. Each filed r's passive entries target r, at most one per
+        origin; an origin not past r on the path has its front past r.
+        Entries from origins past r are left for a later fold to drop."""
         cdsu = self.cdsu
         parent = cdsu.parent
         org, tgt = self.graph.org, self.graph.tgt
-        front = self.af.eid
+        front, passive = self.af.eid, self.passive
         homes = {parent[tgt[f]] for f in front if f >= 0}
         for r in path:
-            if not self.filed[r]:
+            if r not in passive:
                 assert cdsu.size[r] == 1 and cdsu.shift[r] == 0, \
                     "fresh vertex is not an uncontracted singleton"
                 assert r not in homes, "forest node homed at a fresh vertex"
-                assert r not in self.passive, \
-                    "fresh vertex has passive entries"
                 continue
             i = path_index[r]
             origins = set()
-            for e2 in self.passive[r]:
+            for e2 in passive[r]:
                 assert parent[tgt[e2]] == r, "passive entry outside its target"
                 b = parent[org[e2]]
                 if path_index[b] > i:

@@ -34,7 +34,6 @@ class TarjanSolver:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.graph = graph
-        self.strategy = strategy
         self.deadline = deadline
         self.debug = debug
         n = graph.n

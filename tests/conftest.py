@@ -141,7 +141,7 @@ class ScanForest:
     def _key(self, e: int):
         return self.w[e] + self.cdsu.offset(self.tgt[e]), e
 
-    def fill(self, home: int, edges, passive, covered) -> None:
+    def fill(self, home: int, edges, passive) -> None:
         """ActiveForest.fill's fronts and demotions, one edge at a time,
         each kept or replaced by its current (cost, edge id)."""
         find, front = self.cdsu.find, self.eid
@@ -155,7 +155,7 @@ class ScanForest:
                 if t == home:
                     if self._key(f) < self._key(e):
                         continue
-                elif not covered[t]:
+                elif t in passive:
                     passive[t].append(f)
             front[x] = e
 
@@ -202,9 +202,8 @@ def eager_ggst(graph: Graph, debug: bool = False):
     def extend(u: int) -> None:
         path.append(u)
         path_index[u] = len(path) - 1
-        solver.filed[u] = 1
         passive[u] = []
-        af.fill(u, in_adj[u], passive, covered)
+        af.fill(u, in_adj[u], passive)
 
     while True:
         if not path:
@@ -248,7 +247,7 @@ def eager_ggst(graph: Graph, debug: bool = False):
             entries = []
             for r in reversed(members):
                 entries += passive.pop(r)
-            af.fill(merged, entries, passive, covered)
+            af.fill(merged, entries, passive)
             passive[merged] = []
             if debug:
                 log.next_head = merged

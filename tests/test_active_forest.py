@@ -20,8 +20,8 @@ class Rig:
         self.tgt: list[int] = []
         self.w: list[int] = []
         self.af = ActiveForest(self.cdsu, self.org, self.tgt, self.w)
-        self.passive: list[list[int]] = [[] for _ in range(cap)]
-        self.covered = bytearray(cap)
+        # every vertex has a list until a test covers it by deleting it
+        self.passive: dict[int, list[int]] = {v: [] for v in range(cap)}
         self.path: list[int] = []
         self.pos: dict[int, int] = {}
         self.next_vertex = 0
@@ -44,7 +44,7 @@ class Rig:
 
     def fill(self, home: int, eids: list[int]) -> None:
         """``af.fill`` of home with eids, as the solver calls it."""
-        self.af.fill(home, eids, self.passive, self.covered)
+        self.af.fill(home, eids, self.passive)
 
     def file(self, eid: int) -> None:
         """``fill`` of eid's home with eid alone."""
@@ -581,11 +581,11 @@ def test_fill_demotes_replaced_fronts_in_in_edge_order():
                                                    (12, c), (13, b))}
     new = {o: rig.add_edge(o, d, 2) for o in (13, 11, 12, 10)}
     passive = rig.passive
-    rig.covered[a] = 1
+    del passive[a]  # a is covered: its demoted front is dropped
     rig.fill(d, list(new.values()))
     rig.active.update(new)
     assert passive[b] == [old[13], old[10]] and passive[c] == [old[12]]
-    assert passive[a] == []
+    assert a not in passive
     # equal costs: the path runs in edge id order
     assert rig.ring(rig.af.root_ring[d]) == [13]
     assert rig.chain(13) == [13, 11, 12, 10]
@@ -675,7 +675,7 @@ def test_fill_reads_each_cost_with_its_targets_offset():
     e3 = rig.add_edge(3, b, 2)            # dearer than 3's front
     rig.active[4] = rig.add_edge(4, b, 0)
     rig.fill(m, [e3, rig.active[4]])
-    assert af.eid[3] == rig.active[3] and rig.passive == [[]] * rig.cap
+    assert af.eid[3] == rig.active[3] and not any(rig.passive.values())
     assert af.root_ring[m] == 4 and af.stale[m] == 0
     assert af.query_min(m) == rig.scan_min(m) == (rig.active[4], 0)
     af.check_invariants(rig.pos)

@@ -9,7 +9,8 @@ from dataclasses import replace
 import pytest
 
 from conftest import G_BAD_TEXT, G_TRI_TEXT
-from dmst import Graph, cli, gen_antilemon, parse_edge_list, serialize
+from dmst import (Graph, cli, gen_antilemon, gen_er_rooted, parse_edge_list,
+                  serialize)
 
 
 def run_cli(argv):
@@ -133,6 +134,48 @@ def test_solve_non_ascii_stdin_is_parse_error(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1
     assert "non-ASCII byte, line 2" in captured.err
+
+
+def solve_bytes(data, source, algo, tmp_path, monkeypatch, capsys):
+    """`dmst solve --out -` on data, read from a file or from stdin; the
+    exit code, stdout and stderr."""
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        inp = "-"
+    else:
+        inp = tmp_path / "instance.txt"
+        inp.write_bytes(data)
+    code = run_cli(["solve", "--algo", algo, "--in", str(inp), "--out", "-"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_solve_non_ascii_line_counts_lone_cr(source, tmp_path, monkeypatch,
+                                            capsys):
+    # the parser ends a line at a lone \r too, so the bad byte is on line 3
+    code, _, err = solve_bytes(b"3 2 0\r0 1 5\r1 \xff 2\r", source, "ggst",
+                               tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert err.endswith("non-ASCII byte, line 3\n")
+
+
+@pytest.mark.parametrize("algo", ["ggst", "tarjan-sil"])
+def test_solve_output_ignores_line_ends_and_source(algo, tmp_path,
+                                                   monkeypatch, capsys):
+    # a file is read in text mode, which turns \r\n and \r into \n; stdin
+    # hands the raw text to the parser, whose own rule ends a line at
+    # \n, \r\n or \r. A lone-\r text is one block, read line by line.
+    lf = serialize(gen_er_rooted(300, 1200, 100, 7)).encode()
+    outs = set()
+    for data in (lf, lf.replace(b"\n", b"\r\n"), lf.replace(b"\n", b"\r")):
+        for source in ("file", "stdin"):
+            code, out, err = solve_bytes(data, source, algo, tmp_path,
+                                         monkeypatch, capsys)
+            assert (code, err) == (0, "")
+            outs.add(out)
+    assert len(outs) == 1
+    assert len(outs.pop().splitlines()) == 300  # the weight and 299 ids
 
 
 def test_solve_root_override(tmp_path, capsys):

@@ -78,11 +78,11 @@ def test_post_join_fold_matches_scan_forest():
     fill, size, front = solver.af.fill, solver.cdsu.size, solver.af.eid
     filed, folded, demoted = set(), [], []
 
-    def counting(home, edges, passive, covered):
+    def counting(home, edges, passive):
         assert size[home] > 1
         before = front[:]
         lens = {t: len(p) for t, p in passive.items()}
-        fill(home, edges, passive, covered)
+        fill(home, edges, passive)
         # an edge once a front and a front again came from a passive list
         folded.append([e for x, e in enumerate(front)
                        if e != before[x] and e in filed])
@@ -141,19 +141,14 @@ def test_debug_check_wants_a_new_head_uncontracted_and_unshifted(prep):
         solver.run()
 
 
-@pytest.mark.parametrize("prep, message", [
-    ("fill", "forest node homed at a fresh vertex"),
-    ("passive", "fresh vertex has passive entries"),
-])
-def test_debug_check_keeps_a_fresh_head_out_of_the_forest(prep, message):
-    # vertex 1, the first head, has edges from 3, 4 and 5; either
-    # corruption gives it state only a filed vertex may have
+def test_debug_check_keeps_a_fresh_head_out_of_the_forest():
+    # vertex 1, the first head, has edges from 3, 4 and 5; filing them
+    # gives it forest nodes, which only a filed vertex may have. A
+    # vertex is filed exactly when it has a passive list.
     solver = GgstSolver(gen_er_rooted(6, 18, 2, 5), debug=True)
-    if prep == "fill":
-        solver.af.fill(1, solver.in_adj[1], solver.passive, solver.covered)
-    else:
-        solver.passive[1] = [solver.in_adj[1][0]]
-    with pytest.raises(AssertionError, match=message):
+    solver.af.fill(1, solver.in_adj[1], solver.passive)
+    with pytest.raises(AssertionError,
+                       match="forest node homed at a fresh vertex"):
         solver.run()
 
 
@@ -177,10 +172,10 @@ def test_fold_rekeys_a_root_in_place():
             out.append(af.right[out[-1]])
         return out
 
-    def recording(home, edges, passive, covered):
+    def recording(home, edges, passive):
         roots = {x: af.eid[x] for x in ring(af.root_ring[home])}
         stale = af.stale[home]
-        fill(home, edges, passive, covered)
+        fill(home, edges, passive)
         rekeyed.extend((x, af.eid[x], stale) for x, e in roots.items()
                        if af.eid[x] != e and af.parent[x] < 0)
         # each root as (origin, eid, rank, child ring), the entry, the flag
